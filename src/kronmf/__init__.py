@@ -35,7 +35,6 @@ from .littlewood_richardson import (
 )
 from .characters import (
     CharacterTable,
-    MN_BACKEND,
     character_table,
     character_value,
     class_size,

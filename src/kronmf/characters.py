@@ -5,10 +5,8 @@ The oracle computes Kronecker coefficients straight from the definition
 truth that every structural engine is checked against.
 
 Character values come from the Murnaghan-Nakayama border-strip
-recursion.  A compiled kernel is used when the optional extension built
-from ``_mnkernel.pyx`` is available; otherwise the pure-Python twin in
-``_mn_py`` takes over.  Both backends are importable directly for
-benchmarking and parity tests.
+recursion, memoised on (shape, remaining cycle type).  Values are exact
+Python integers.
 """
 
 from __future__ import annotations
@@ -20,29 +18,26 @@ import os
 from dataclasses import dataclass
 from math import factorial
 
-from . import _mn_py
 from .expansion import CharacterExpansion
 from .partitions import Partition, dimension, enumerate_partitions, format_partition
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _mnkernel  # type: ignore[attr-defined]
-
-    MN_BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    _mnkernel = None
-    MN_BACKEND = "python"
 
 DEFAULT_TABLE_CEILING = 14
 _CEILING_ENV = "KRONMF_TABLE_CEILING"
 
 
 class TableCeilingError(ValueError):
-    """Raised when a character-table request exceeds the resource ceiling."""
+    """Raised when a character-table request exceeds the resource ceiling,
+    or when the ceiling set in the environment is not an integer."""
 
 
 def table_ceiling() -> int:
     raw = os.environ.get(_CEILING_ENV)
-    return int(raw) if raw else DEFAULT_TABLE_CEILING
+    if not raw:
+        return DEFAULT_TABLE_CEILING
+    try:
+        return int(raw)
+    except ValueError:
+        raise TableCeilingError(f"{_CEILING_ENV}={raw!r} is not an integer") from None
 
 
 def _check_ceiling(n: int, ceiling: int | None) -> None:
@@ -54,17 +49,53 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
         )
 
 
-def _mn_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    if _mnkernel is not None and sum(lam) <= 20:
-        return _mnkernel.char_value(lam, cycles)
-    return _mn_py.char_value(lam, cycles)
+_mn_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+
+def _strips(lam: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Removals of a border strip of size k: (height, remaining shape)."""
+    ell = len(lam)
+    out = []
+    for i in range(ell):
+        for r in range(i, ell):
+            rest = lam[i + 1:r + 1]
+            last = lam[i] + (r - i) - k
+            below = lam[r + 1] if r + 1 < ell else 0
+            if below <= last <= lam[r] - 1:
+                mu = lam[:i] + tuple(v - 1 for v in rest) + (last,) + lam[r + 1:]
+                while mu and mu[-1] == 0:
+                    mu = mu[:-1]
+                out.append((r - i, mu))
+    return out
+
+
+def _char_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """Character value of the irreducible labelled lam at cycle type cycles.
+
+    ``cycles`` must be sorted weakly decreasing; the largest cycle is
+    peeled off first, which keeps the branching shallow.
+    """
+    if not lam:
+        return 1
+    key = (lam, cycles)
+    val = _mn_memo.get(key)
+    if val is not None:
+        return val
+    k = cycles[0]
+    rest = cycles[1:]
+    total = 0
+    for height, mu in _strips(lam, k):
+        sub = _char_value(mu, rest)
+        total += -sub if height & 1 else sub
+    _mn_memo[key] = total
+    return total
 
 
 def character_value(lam: Partition, rho: Partition) -> int:
     """Character of the irreducible [lam] on the class of cycle type rho."""
     if lam.n != rho.n:
         raise ValueError(f"degree mismatch: |{lam!r}| = {lam.n}, |{rho!r}| = {rho.n}")
-    return _mn_value(tuple(lam), tuple(rho))
+    return _char_value(tuple(lam), tuple(rho))
 
 
 def class_size(rho: Partition) -> int:
@@ -150,7 +181,7 @@ def character_table(n: int, ceiling: int | None = None) -> CharacterTable:
         return cached
     parts = tuple(enumerate_partitions(n))
     values = tuple(
-        tuple(_mn_value(tuple(lam), tuple(rho)) for rho in parts) for lam in parts
+        tuple(_char_value(tuple(lam), tuple(rho)) for rho in parts) for lam in parts
     )
     table = CharacterTable(
         degree=n,
@@ -206,6 +237,4 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
 def clear_caches() -> None:
     _table_cache.clear()
     _product_cache.clear()
-    _mn_py.clear_cache()
-    if _mnkernel is not None:
-        _mnkernel.clear_cache()
+    _mn_memo.clear()

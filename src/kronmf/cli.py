@@ -254,14 +254,21 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n > mode_ceiling(args.mode) and not args.force:
+    try:
+        ceiling = mode_ceiling(args.mode)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if args.n > ceiling and not args.force:
         raise CliError(
-            f"n={args.n} exceeds the {args.mode} ceiling {mode_ceiling(args.mode)}; "
+            f"n={args.n} exceeds the {args.mode} ceiling {ceiling}; "
             "pass --force or raise the env override"
         )
     kwargs = {"jobs": max(1, args.jobs)}
     if args.mode == "pairs":
-        kwargs["cache"] = ProductCache(args.cache) if args.cache else None
+        try:
+            kwargs["cache"] = ProductCache(args.cache) if args.cache else None
+        except (ValueError, OSError) as exc:
+            raise CliError(str(exc)) from None
         kwargs["engine"] = args.engine
     elif args.mode in ("triples", "skew"):
         kwargs["engine"] = args.engine

@@ -15,7 +15,6 @@ table, so the oracle stays an independent cross-check.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -37,9 +36,6 @@ from .partitions import (
     split_rows,
 )
 
-DEFAULT_ORACLE_CROSSOVER = 10
-_CROSSOVER_ENV = "KRONMF_ENGINE_CROSSOVER"
-
 ENGINES = ("auto", "oracle", "dvir")
 
 
@@ -47,17 +43,12 @@ class DvirInvariantError(RuntimeError):
     """A negative intermediate in the recursion: always an implementation bug."""
 
 
-def _oracle_crossover() -> int:
-    raw = os.environ.get(_CROSSOVER_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_CROSSOVER
-
-
 def _resolve_engine(engine: str, n: int) -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "auto":
         return engine
-    return "oracle" if n <= min(_oracle_crossover(), table_ceiling()) else "dvir"
+    return "oracle" if n <= table_ceiling() else "dvir"
 
 
 def max_width(lam: Partition, mu: Partition) -> int:

@@ -35,8 +35,14 @@ _CEILING_ENV_PREFIX = "KRONMF_VERIFY_CEILING_"
 
 
 def mode_ceiling(mode: str) -> int:
-    raw = os.environ.get(_CEILING_ENV_PREFIX + mode.upper())
-    return int(raw) if raw else DEFAULT_CEILINGS[mode]
+    name = _CEILING_ENV_PREFIX + mode.upper()
+    raw = os.environ.get(name)
+    if not raw:
+        return DEFAULT_CEILINGS[mode]
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 @dataclass

@@ -27,6 +27,9 @@ class TestCharacterValue:
         for n in range(1, 8):
             for rho in enumerate_partitions(n):
                 assert character_value(P(n), rho) == 1
+        # beyond any table ceiling the recursion still applies
+        for rho in (P(21), P(11, 10), P(5, 4, 4, 3, 2, 2, 1), P(*([1] * 21))):
+            assert character_value(P(21), rho) == 1
 
     def test_sign_character(self):
         for n in range(1, 8):
@@ -59,22 +62,6 @@ class TestCharacterValue:
                 for rho in enumerate_partitions(n):
                     sign = (-1) ** (n - len(rho))
                     assert character_value(conjugate(lam), rho) == sign * character_value(lam, rho)
-
-
-class TestBackends:
-    def test_backend_is_reported(self):
-        assert characters.MN_BACKEND in ("compiled", "python")
-
-    @pytest.mark.skipif(characters.MN_BACKEND != "compiled", reason="extension not built")
-    def test_compiled_matches_pure(self):
-        from kronmf import _mn_py, _mnkernel
-
-        for n in range(8):
-            for lam in enumerate_partitions(n):
-                for rho in enumerate_partitions(n):
-                    assert _mnkernel.char_value(tuple(lam), tuple(rho)) == _mn_py.char_value(
-                        tuple(lam), tuple(rho)
-                    )
 
 
 class TestClassSize:

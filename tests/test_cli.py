@@ -129,6 +129,11 @@ class TestTable:
         res = run_cli("table", "4", env_extra={"KRONMF_TABLE_CEILING": "3"})
         assert res.returncode == 2
 
+    def test_malformed_ceiling_env_exit_2(self):
+        res = run_cli("kron", "2,1", "2,1", env_extra={"KRONMF_TABLE_CEILING": "abc"})
+        assert res.returncode == 2
+        assert res.stderr == "error: KRONMF_TABLE_CEILING='abc' is not an integer\n"
+
     def test_force_bypasses_ceiling(self):
         res = run_cli("table", "15", "--force", "--format", "json")
         assert res.returncode == 0
@@ -162,6 +167,11 @@ class TestVerify:
         )
         assert res.returncode == 2
 
+    def test_malformed_ceiling_env_exit_2(self):
+        res = run_cli("verify", "3", env_extra={"KRONMF_VERIFY_CEILING_PAIRS": "x"})
+        assert res.returncode == 2
+        assert res.stderr == "error: KRONMF_VERIFY_CEILING_PAIRS='x' is not an integer\n"
+
     def test_jobs_deterministic(self):
         a = run_cli("verify", "6", "--mode", "pairs", "--jobs", "1")
         b = run_cli("verify", "6", "--mode", "pairs", "--jobs", "3")
@@ -183,6 +193,32 @@ class TestVerify:
         warm = run_cli("verify", "5", "--mode", "pairs", "--cache", path)
         assert cold.stdout == warm.stdout
         assert cold.returncode == warm.returncode == 0
+
+    def test_cache_torn_tail_is_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cold = run_cli("verify", "5", "--mode", "pairs", "--cache", str(path))
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-20])
+        warm = run_cli("verify", "5", "--mode", "pairs", "--cache", str(path))
+        assert warm.returncode == 0 and warm.stdout == cold.stdout
+        assert path.read_bytes() == whole
+
+    def test_cache_not_a_cache_exit_2(self, tmp_path):
+        path = tmp_path / "foreign.jsonl"
+        path.write_text("hello\n")
+        res = run_cli("verify", "5", "--mode", "pairs", "--cache", str(path))
+        assert res.returncode == 2
+        assert res.stderr == f"error: {path}: not a kronmf cache file\n"
+
+    def test_cache_malformed_record_exit_2(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        assert run_cli("verify", "4", "--mode", "pairs", "--cache", str(path)).returncode == 0
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + "\n"
+        path.write_text("".join(lines))
+        res = run_cli("verify", "4", "--mode", "pairs", "--cache", str(path))
+        assert res.returncode == 2
+        assert res.stderr == f"error: {path}: line 3 is not a cache record\n"
 
     def test_json_report(self):
         res = run_cli("verify", "4", "--mode", "pairs", "--format", "json")

@@ -156,13 +156,16 @@ class TestKronProduct:
         assert kron_coefficient(P(3, 3, 3), P(3, 3, 3), P(5, 2, 2), "oracle") == 2
 
     def test_auto_crossover_env_override(self, monkeypatch):
+        # auto: the oracle while the character table is within its ceiling
+        from kronmf.characters import DEFAULT_TABLE_CEILING
         from kronmf.kronecker import _resolve_engine
 
-        assert _resolve_engine("auto", 9) == "oracle"
-        assert _resolve_engine("auto", 11) == "dvir"
-        monkeypatch.setenv("KRONMF_ENGINE_CROSSOVER", "5")
-        assert _resolve_engine("auto", 9) == "dvir"
+        monkeypatch.delenv("KRONMF_TABLE_CEILING", raising=False)
+        assert _resolve_engine("auto", DEFAULT_TABLE_CEILING) == "oracle"
+        assert _resolve_engine("auto", DEFAULT_TABLE_CEILING + 1) == "dvir"
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "5")
         assert _resolve_engine("auto", 5) == "oracle"
+        assert _resolve_engine("auto", 6) == "dvir"
 
 
 class TestMultiplyExpansions:

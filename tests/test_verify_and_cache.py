@@ -112,21 +112,3 @@ class TestReports:
         assert verify_engines(3).pairs_checked == 6
         assert verify_skew(2).pairs_checked > 0
 
-
-class TestKernelGuards:
-    def test_pure_fallback_beyond_compiled_range(self):
-        # the compiled kernel refuses n > 20; _mn_value silently falls back
-        from kronmf.characters import _mn_value
-
-        lam = tuple([21])
-        assert _mn_value(lam, (21,)) == 1
-
-    @pytest.mark.skipif(
-        __import__("kronmf.characters", fromlist=["MN_BACKEND"]).MN_BACKEND != "compiled",
-        reason="extension not built",
-    )
-    def test_compiled_kernel_guard(self):
-        from kronmf import _mnkernel
-
-        with pytest.raises(OverflowError):
-            _mnkernel.char_value((21,), (21,))
