@@ -5,8 +5,9 @@ The oracle computes Kronecker coefficients straight from the definition
 truth that every structural engine is checked against.
 
 Character values come from the Murnaghan-Nakayama border-strip
-recursion, memoised on (shape, remaining cycle type).  Values are exact
-Python integers.
+recursion and are exact Python integers.  Values (on shape and
+remaining cycle type), tables and oracle products are memoised with
+``functools.cache`` for the life of the process.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 from .expansion import CharacterExpansion
@@ -49,9 +51,6 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
         )
 
 
-_mn_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
 def _strips(lam: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
     """Removals of a border strip of size k: (height, remaining shape)."""
     ell = len(lam)
@@ -69,6 +68,7 @@ def _strips(lam: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+@cache
 def _char_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     """Character value of the irreducible labelled lam at cycle type cycles.
 
@@ -77,17 +77,12 @@ def _char_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     """
     if not lam:
         return 1
-    key = (lam, cycles)
-    val = _mn_memo.get(key)
-    if val is not None:
-        return val
     k = cycles[0]
     rest = cycles[1:]
     total = 0
     for height, mu in _strips(lam, k):
         sub = _char_value(mu, rest)
         total += -sub if height & 1 else sub
-    _mn_memo[key] = total
     return total
 
 
@@ -167,31 +162,27 @@ class CharacterTable:
         )
 
 
-_table_cache: dict[int, CharacterTable] = {}
-_product_cache: dict[tuple[Partition, Partition], CharacterExpansion] = {}
-
-
 def character_table(n: int, ceiling: int | None = None) -> CharacterTable:
     """Complete exact character table of the symmetric group of degree n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_ceiling(n, ceiling)
-    cached = _table_cache.get(n)
-    if cached is not None:
-        return cached
+    return _table(n)
+
+
+@cache
+def _table(n: int) -> CharacterTable:
     parts = tuple(enumerate_partitions(n))
     values = tuple(
         tuple(_char_value(tuple(lam), tuple(rho)) for rho in parts) for lam in parts
     )
-    table = CharacterTable(
+    return CharacterTable(
         degree=n,
         rows=parts,
         cols=parts,
         values=values,
         class_sizes=tuple(class_size(rho) for rho in parts),
     )
-    _table_cache[n] = table
-    return table
 
 
 def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -213,10 +204,11 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     """Full Kronecker product expansion via the character table."""
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
-    key = (lam, mu) if lam >= mu else (mu, lam)
-    cached = _product_cache.get(key)
-    if cached is not None:
-        return cached
+    return _product_oracle(*((lam, mu) if lam >= mu else (mu, lam)))
+
+
+@cache
+def _product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     n = lam.n
     t = character_table(n)
     nfact = factorial(n)
@@ -230,11 +222,4 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
             terms[nu] = g
     out = CharacterExpansion(n, terms)
     assert out.total_dimension() == dimension(lam) * dimension(mu)
-    _product_cache[key] = out
     return out
-
-
-def clear_caches() -> None:
-    _table_cache.clear()
-    _product_cache.clear()
-    _mn_memo.clear()

@@ -6,7 +6,8 @@ invocations produce byte-identical stdout; timing goes to stderr.
 
 Exit codes: 0 success (and multiplicity-free for classify), 1 for a
 negative classification or verification mismatches, 2 for usage errors
-(bad grammar, degree mismatch, exceeded ceilings).
+(bad grammar, a flag the subcommand does not read, degree mismatch,
+exceeded ceilings), each reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -30,16 +31,23 @@ class CliError(Exception):
     pass
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _format_flag(sub: argparse.ArgumentParser, *extra: str) -> None:
+    sub.add_argument("--format", choices=("text", "json", *extra), default="text")
+
+
+def _engine_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--engine", choices=ENGINES, default="auto")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--cache", default=None, metavar="PATH")
-    sub.add_argument("--force", action="store_true", help="bypass mode ceilings")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kronmf",
         description="Exact Kronecker products and the multiplicity-free classification",
     )
@@ -48,38 +56,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kron", help="expand a Kronecker product")
     p.add_argument("lam")
     p.add_argument("mu")
-    _common_flags(p)
+    _format_flag(p, "csv")
+    _engine_flag(p)
 
     p = sub.add_parser("coeff", help="one Kronecker coefficient g(lam,mu,nu)")
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
-    _common_flags(p)
+    _format_flag(p)
+    _engine_flag(p)
 
     p = sub.add_parser("classify", help="multiplicity-free test for a pair")
     p.add_argument("lam")
     p.add_argument("mu")
-    _common_flags(p)
+    _format_flag(p)
 
     p = sub.add_parser("classify-triple", help="multiplicity-free test for a triple")
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
-    _common_flags(p)
+    _format_flag(p)
 
     p = sub.add_parser("classify-skew", help="multiplicity-free test for skew times irreducible")
     p.add_argument("skew")
     p.add_argument("alpha")
-    _common_flags(p)
+    _format_flag(p)
 
     p = sub.add_parser("table", help="exact character table")
     p.add_argument("n", type=int)
-    _common_flags(p)
+    _format_flag(p, "csv")
+    p.add_argument("--force", action="store_true", help="bypass the character-table ceiling")
 
     p = sub.add_parser("verify", help="exhaustive verification sweep at one degree")
     p.add_argument("n", type=int)
     p.add_argument("--mode", choices=tuple(VERIFY_MODES), default="pairs")
-    _common_flags(p)
+    _format_flag(p)
+    _engine_flag(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (pairs mode only)")
+    p.add_argument("--cache", default=None, metavar="PATH", help="product cache file (pairs mode only)")
+    p.add_argument("--force", action="store_true", help="bypass mode ceilings")
 
     return parser
 
@@ -228,6 +243,8 @@ def _spot_check_orthogonality(table) -> None:
 
 
 def _cmd_table(args) -> int:
+    if args.n < 0:
+        raise CliError("n must be nonnegative")
     try:
         table = character_table(args.n, ceiling=None if not args.force else args.n)
     except TableCeilingError as exc:
@@ -254,6 +271,16 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n < 1:
+        raise CliError("degree must be at least 1")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.mode != "pairs" and args.jobs != 1:
+        raise CliError(f"--jobs applies to --mode pairs only, not {args.mode}")
+    if args.mode != "pairs" and args.cache is not None:
+        raise CliError(f"--cache applies to --mode pairs only, not {args.mode}")
+    if args.mode == "engines" and args.engine != "auto":
+        raise CliError("--engine does not apply to --mode engines, which runs both engines")
     try:
         ceiling = mode_ceiling(args.mode)
     except ValueError as exc:
@@ -263,15 +290,13 @@ def _cmd_verify(args) -> int:
             f"n={args.n} exceeds the {args.mode} ceiling {ceiling}; "
             "pass --force or raise the env override"
         )
-    kwargs = {"jobs": max(1, args.jobs)}
+    kwargs = {} if args.mode == "engines" else {"engine": args.engine}
     if args.mode == "pairs":
         try:
             kwargs["cache"] = ProductCache(args.cache) if args.cache else None
         except (ValueError, OSError) as exc:
             raise CliError(str(exc)) from None
-        kwargs["engine"] = args.engine
-    elif args.mode in ("triples", "skew"):
-        kwargs["engine"] = args.engine
+        kwargs["jobs"] = args.jobs
     report = VERIFY_MODES[args.mode](args.n, **kwargs)
     print(report.to_json() if args.format == "json" else report.to_text())
     print(f"wall_time={report.wall_time:.3f}s", file=sys.stderr)

@@ -16,6 +16,7 @@ table, so the oracle stays an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 from .characters import kron_oracle, kron_product_oracle, table_ceiling
@@ -82,22 +83,17 @@ def y_set(nu: Partition) -> YNuSet:
     return YNuSet(nu, tuple(members))
 
 
-_coeff_memo: dict[tuple[Partition, Partition, Partition], int] = {}
-_band_memo: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
-_product_memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-
-
 def _pair_key(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     return (lam, mu) if lam >= mu else (mu, lam)
 
 
 def _dvir_band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     """Expansion of sum over alpha |- k inside lam^mu of [lam/a].[mu/a]."""
-    key = _pair_key(lam, mu) + (k,)
-    cached = _band_memo.get(key)
-    if cached is not None:
-        return cached
-    lam, mu = key[0], key[1]
+    return _band(*_pair_key(lam, mu), k)
+
+
+@cache
+def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     beta = intersect(lam, mu)
     acc: dict[Partition, int] = {}
     for alpha in iter_subpartitions(beta, k):
@@ -108,16 +104,16 @@ def _dvir_band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
                 weight = c1 * c2
                 for nu_hat, g in _dvir_product(sig, tau).items():
                     acc[nu_hat] = acc.get(nu_hat, 0) + weight * g
-    _band_memo[key] = acc
     return acc
 
 
 def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Full Kronecker product map at this degree, by the recursion alone."""
-    key = _pair_key(lam, mu)
-    cached = _product_memo.get(key)
-    if cached is not None:
-        return cached
+    return _product(*_pair_key(lam, mu))
+
+
+@cache
+def _product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     n = lam.n
     out: dict[Partition, int] = {}
     if n == 0:
@@ -130,7 +126,6 @@ def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
             g = g_dvir(lam, mu, nu)
             if g:
                 out[nu] = g
-    _product_memo[key] = out
     return out
 
 
@@ -140,11 +135,11 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
     if lam.n == 0:
         return 1
-    key = _pair_key(lam, mu) + (nu,)
-    cached = _coeff_memo.get(key)
-    if cached is not None:
-        return cached
-    lam, mu = key[0], key[1]
+    return _g(*_pair_key(lam, mu), nu)
+
+
+@cache
+def _g(lam: Partition, mu: Partition, nu: Partition) -> int:
     w = max_width(lam, mu)
     if nu[0] > w:
         return 0
@@ -155,7 +150,6 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
             total -= g_dvir(lam, mu, eta)
     if total < 0:
         raise DvirInvariantError(f"negative coefficient {total} at g({lam}, {mu}, {nu})")
-    _coeff_memo[key] = total
     return total
 
 
@@ -321,9 +315,3 @@ def virtual_extension_chi(lam: Partition, mu: Partition, engine: str = "auto") -
     for node in addable_nodes(alpha):
         chi = chi - CharacterExpansion.irreducible(add_node(alpha, node))
     return chi
-
-
-def clear_caches() -> None:
-    _coeff_memo.clear()
-    _band_memo.clear()
-    _product_memo.clear()

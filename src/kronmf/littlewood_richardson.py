@@ -10,6 +10,7 @@ maintained incrementally with a single counts array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .expansion import CharacterExpansion
 from .partitions import (
@@ -27,12 +28,11 @@ from .partitions import (
 )
 from .verdict import MF_NO, MfVerdict
 
-_expand_cache: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
-
-def _lr_counts(shape: SkewShape) -> dict[Partition, int]:
-    """Tally LR tableau contents over all fillings of the shape."""
-    spans = [(a, b) for a, b in shape.row_spans()]
+@cache
+def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
+    """Tally LR tableau contents over all fillings of outer/inner."""
+    spans = [(inner.row(i), outer[i - 1]) for i in range(1, len(outer) + 1)]
     cells: list[tuple[int, bool, bool]] = []  # (row, has_right_in_shape, has_above_in_shape)
     for i, (a, b) in enumerate(spans, start=1):
         for j in range(b, a, -1):
@@ -86,12 +86,7 @@ def _lr_counts(shape: SkewShape) -> dict[Partition, int]:
 
 def skew_expand(s: SkewShape) -> CharacterExpansion:
     """Decompose the skew character of s into irreducibles."""
-    key = (s.outer, s.inner)
-    cached = _expand_cache.get(key)
-    if cached is None:
-        cached = _lr_counts(s)
-        _expand_cache[key] = cached
-    return CharacterExpansion(s.size, cached)
+    return CharacterExpansion(s.size, _lr_counts(s.outer, s.inner))
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -254,7 +249,3 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
         if r == 2:
             return MfVerdict(True, "skew-rem-2", norm_tag)
     return MF_NO
-
-
-def clear_caches() -> None:
-    _expand_cache.clear()

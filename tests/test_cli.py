@@ -226,6 +226,49 @@ class TestVerify:
         assert blob["mismatches"] == [] and blob["mode"] == "pairs"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # flags a subcommand does not read
+        ("classify", "3,3", "4,1,1", "--engine", "dvir"),
+        ("classify", "3,3", "4,1,1", "--jobs", "5"),
+        ("classify", "3,3", "4,1,1", "--cache", "unused.jsonl"),
+        ("classify-triple", "4", "2,2", "3,1", "--force"),
+        ("table", "4", "--engine", "dvir"),
+        ("table", "4", "--jobs", "2"),
+        ("kron", "8,7", "8,7", "--engine", "oracle", "--force"),
+        ("coeff", "2,1", "2,1", "2,1", "--format", "csv"),
+        ("classify", "3,3", "4,1,1", "--format", "csv"),
+        ("classify-triple", "4", "2,2", "3,1", "--format", "csv"),
+        ("classify-skew", "3,2/1", "2,2", "--format", "csv"),
+        ("verify", "4", "--format", "csv"),
+        # verify flags its mode ignores
+        ("verify", "5", "--mode", "skew", "--cache", "unused.jsonl"),
+        ("verify", "4", "--mode", "triples", "--jobs", "2"),
+        ("verify", "4", "--mode", "engines", "--jobs", "2"),
+        ("verify", "4", "--jobs", "0"),
+        ("verify", "4", "--mode", "skew", "--jobs", "-3"),
+        ("verify", "4", "--mode", "engines", "--engine", "oracle"),
+        ("verify", "4", "--mode", "engines", "--engine", "dvir"),
+        # degrees out of range
+        ("table", "-1"),
+        ("verify", "-1"),
+        ("verify", "0"),
+        ("verify", "0", "--mode", "skew"),
+    ],
+)
+def test_usage_error_is_one_line_exit_2(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "error: " in res.stderr
+
+
+def test_verify_accepts_jobs_1_in_every_mode():
+    for mode in ("pairs", "triples", "skew", "engines"):
+        assert run_cli("verify", "3", "--mode", mode, "--jobs", "1").returncode == 0
+
+
 def test_console_script_is_installed():
     import shutil
 

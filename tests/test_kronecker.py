@@ -3,7 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kronmf.characters import kron_oracle
+from kronmf import kronecker
+from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import (
     SemigroupWitness,
@@ -127,6 +128,15 @@ class TestDvir:
             results = list(pool.map(work, nus * 2))
         assert results[: len(nus)] == results[len(nus):]
         assert results[: len(nus)] == [kron_oracle(lam, mu, nu) for nu in nus]
+
+    def test_swapped_operands_reuse_the_memo(self):
+        lam, mu, nu = P(4, 2, 1), P(3, 3, 1), P(3, 2, 2)
+        assert kron_product_oracle(lam, mu) is kron_product_oracle(mu, lam)
+        assert kronecker._dvir_product(lam, mu) is kronecker._dvir_product(mu, lam)
+        g_dvir(lam, mu, nu)
+        hits = kronecker._g.cache_info().hits
+        g_dvir(mu, lam, nu)
+        assert kronecker._g.cache_info().hits == hits + 1
 
 
 class TestKronProduct:
