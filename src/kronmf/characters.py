@@ -4,10 +4,14 @@ The oracle computes Kronecker coefficients straight from the definition
 (class-size weighted triple products divided by n!) and is the ground
 truth that every structural engine is checked against.
 
-Character values come from the Murnaghan-Nakayama border-strip
-recursion and are exact Python integers.  Values (on shape and
-remaining cycle type), tables and oracle products are memoised with
-``functools.cache`` for the life of the process.
+Character values come from the Murnaghan-Nakayama rule applied forward
+on a bead abacus (``_add_strips``): a column of the table is the Schur
+expansion of a power-sum product, built one part at a time, and the
+table builder shares the work of cycle types with a common prefix.  All
+values are exact Python integers.  Two kernels are memoised with
+``functools.cache`` for the life of the process: ``_table`` (one table
+per degree) and ``_product_oracle`` (one product per pair of shapes).
+Single values from ``character_value`` are recomputed on each call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
@@ -51,46 +56,60 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
         )
 
 
-def _strips(lam: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Removals of a border strip of size k: (height, remaining shape)."""
-    ell = len(lam)
-    out = []
-    for i in range(ell):
-        for r in range(i, ell):
-            rest = lam[i + 1:r + 1]
-            last = lam[i] + (r - i) - k
-            below = lam[r + 1] if r + 1 < ell else 0
-            if below <= last <= lam[r] - 1:
-                mu = lam[:i] + tuple(v - 1 for v in rest) + (last,) + lam[r + 1:]
-                while mu and mu[-1] == 0:
-                    mu = mu[:-1]
-                out.append((r - i, mu))
-    return out
+def _beads(lam: tuple[int, ...], n: int) -> int:
+    """Bead mask of lam (at most n parts) on an n-bead abacus: bead i
+    sits at position lam_i + n - 1 - i, with lam_i = 0 past the last part."""
+    mask = (1 << (n - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + n - 1 - i)
+    return mask
 
 
-@cache
-def _char_value(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Character value of the irreducible labelled lam at cycle type cycles.
+def _add_strips(vec: dict[int, int], k: int) -> dict[int, int]:
+    """Multiply a Schur-basis vector {bead mask: coefficient} by p_k.
 
-    ``cycles`` must be sorted weakly decreasing; the largest cycle is
-    peeled off first, which keeps the branching shallow.
+    Soundness.  The Schur functions are orthonormal for the Hall inner
+    product and chi^lam(rho) = <p_rho, s_lam>, so the column of cycle
+    type rho is the Schur expansion of p_rho, the product of p_k over the
+    parts k of rho.  The Murnaghan-Nakayama rule gives
+    s_mu * p_k = sum of (-1)^ht(lam/mu) s_lam over the lam for which
+    lam/mu is a border strip of size k, ht being its number of rows
+    minus one.  On the abacus (James-Kerber, 2.7) these strips are
+    exactly the moves of one bead from an occupied b to an empty b + k.
+    If the bead was row r and j beads lie strictly between b and b + k,
+    the moved bead becomes row r - j and rows r - j + 1 .. r each take
+    the bead of the row above, ending one cell past where that row
+    ended.  The added cells fill rows r - j .. r, consecutive rows share
+    exactly one column, and they number k: a border strip of height j.
+    The reverse move removes any such strip, so moves and strips match
+    one to one.  n beads suffice for a degree-n computation started from
+    the empty partition, because every shape reached has at most n parts.
     """
-    if not lam:
-        return 1
-    k = cycles[0]
-    rest = cycles[1:]
-    total = 0
-    for height, mu in _strips(lam, k):
-        sub = _char_value(mu, rest)
-        total += -sub if height & 1 else sub
-    return total
+    out: dict[int, int] = {}
+    get = out.get
+    between = (1 << (k - 1)) - 1
+    for mask, c in vec.items():
+        movable = mask & ~(mask >> k)
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            new = mask ^ bead ^ (bead << k)
+            if (mask & (between * (bead << 1))).bit_count() & 1:
+                out[new] = get(new, 0) - c
+            else:
+                out[new] = get(new, 0) + c
+    return {mask: c for mask, c in out.items() if c}
 
 
 def character_value(lam: Partition, rho: Partition) -> int:
     """Character of the irreducible [lam] on the class of cycle type rho."""
     if lam.n != rho.n:
         raise ValueError(f"degree mismatch: |{lam!r}| = {lam.n}, |{rho!r}| = {rho.n}")
-    return _char_value(tuple(lam), tuple(rho))
+    n = lam.n
+    vec = {(1 << n) - 1: 1}
+    for k in rho:
+        vec = _add_strips(vec, k)
+    return vec.get(_beads(lam, n), 0)
 
 
 def class_size(rho: Partition) -> int:
@@ -114,12 +133,17 @@ class CharacterTable:
     cols: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
     class_sizes: tuple[int, ...]
+    _index: dict[Partition, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # rows and cols are both the partitions of degree, in one order
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.rows)})
 
     def value(self, lam: Partition, rho: Partition) -> int:
-        return self.values[self.rows.index(lam)][self.cols.index(rho)]
+        return self.values[self._index[lam]][self._index[rho]]
 
     def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.values[self.rows.index(lam)]
+        return self.values[self._index[lam]]
 
     def check_orthogonality(self) -> None:
         """Both orthogonality relations, exactly; raises on violation."""
@@ -170,17 +194,35 @@ def character_table(n: int, ceiling: int | None = None) -> CharacterTable:
     return _table(n)
 
 
+def _columns(
+    vec: dict[int, int], cycles: tuple[int, ...], rest: int
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """Depth-first over the cycle types that extend cycles by parts of
+    total rest, none larger than the last part: yields each cycle type
+    with vec times its p-product, in descending lex order.  Cycle types
+    sharing a prefix share its products, and only the vectors on the
+    current path are alive."""
+    if not rest:
+        yield cycles, vec
+        return
+    for k in range(min(rest, cycles[-1]) if cycles else rest, 0, -1):
+        yield from _columns(_add_strips(vec, k), cycles + (k,), rest - k)
+
+
 @cache
 def _table(n: int) -> CharacterTable:
     parts = tuple(enumerate_partitions(n))
-    values = tuple(
-        tuple(_char_value(tuple(lam), tuple(rho)) for rho in parts) for lam in parts
-    )
+    row_of = {_beads(lam, n): i for i, lam in enumerate(parts)}
+    grid = [[0] * len(parts) for _ in parts]
+    for j, (rho, column) in enumerate(_columns({(1 << n) - 1: 1}, (), n)):
+        assert rho == parts[j]
+        for mask, c in column.items():
+            grid[row_of[mask]][j] = c
     return CharacterTable(
         degree=n,
         rows=parts,
         cols=parts,
-        values=values,
+        values=tuple(map(tuple, grid)),
         class_sizes=tuple(class_size(rho) for rho in parts),
     )
 

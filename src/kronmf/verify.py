@@ -162,7 +162,7 @@ def verify_pairs(
     return report
 
 
-def verify_triples(n: int, engine: str = "auto", jobs: int = 1) -> VerificationReport:
+def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
     """Triple products: predicate vs computed multiplicity, all triples."""
     start = time.monotonic()
     parts = enumerate_partitions(n)
@@ -191,7 +191,7 @@ def verify_triples(n: int, engine: str = "auto", jobs: int = 1) -> VerificationR
     return report
 
 
-def verify_skew(n: int, engine: str = "auto", jobs: int = 1) -> VerificationReport:
+def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
     """Skew sweeps: the basic-shape predicate, skew-times-irreducible,
     and no-mf-product-of-two-proper-skews, all at one degree.
 
@@ -263,7 +263,7 @@ def verify_skew(n: int, engine: str = "auto", jobs: int = 1) -> VerificationRepo
     return report
 
 
-def verify_engines(n: int, jobs: int = 1) -> VerificationReport:
+def verify_engines(n: int) -> VerificationReport:
     """Dvir recursion against the character-table oracle, all pairs."""
     start = time.monotonic()
     pairs = _unordered_pairs(enumerate_partitions(n))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial
@@ -106,8 +107,28 @@ class TestCharacterTable:
             assert dot == (factorial(5) if rho == P(1, 1, 1, 1, 1) else 0)
 
     def test_orthogonality_exact(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             character_table(n).check_orthogonality()
+
+    def test_entries_match_character_value(self):
+        for n in range(10):
+            t = character_table(n)
+            for lam in t.rows:
+                for rho in t.cols:
+                    assert t.value(lam, rho) == character_value(lam, rho), (lam, rho)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (14, "b4b568b6cc23a384f1e759702a36f831f0a5057099786844e77af9528adb7fb3"),
+            (16, "b8ac24e929a54407bc6d42db9efbf3e5934979e2b0ef5e0ce43718bc4f93b867"),
+        ],
+    )
+    def test_json_digest_frozen(self, n, digest):
+        # digests taken from the per-entry border-strip recursion: any
+        # change to a value, a label or the layout changes them
+        blob = character_table(n, ceiling=n).to_json().encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_ceiling(self):
         with pytest.raises(TableCeilingError):

@@ -120,6 +120,22 @@ class TestTable:
         blob = json.loads(res.stdout)
         assert blob["class_sizes"] == [6, 8, 3, 6, 1]
 
+    @pytest.mark.parametrize(
+        "n, fmt, expected",
+        [
+            ("0", "text", "            \nclass size 1\n           1\n"),
+            ("0", "json", '{"n":0,"partitions":[""],"cycle_types":[""],"class_sizes":[1],"values":[[1]]}\n'),
+            ("0", "csv", "partition,\n,1\n"),
+            ("1", "text", "           1\nclass size 1\n         1 1\n"),
+            ("1", "json", '{"n":1,"partitions":["1"],"cycle_types":["1"],"class_sizes":[1],"values":[[1]]}\n'),
+            ("1", "csv", "partition,1\n1,1\n"),
+        ],
+    )
+    def test_degenerate_degrees(self, n, fmt, expected):
+        res = run_cli("table", n, "--format", fmt)
+        assert res.returncode == 0
+        assert res.stdout == expected
+
     def test_ceiling_exit_2(self):
         res = run_cli("table", "40")
         assert res.returncode == 2
