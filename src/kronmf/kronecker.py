@@ -21,7 +21,7 @@ from itertools import product as iproduct
 
 from .characters import kron_oracle, kron_product_oracle, table_ceiling
 from .expansion import CharacterExpansion
-from .littlewood_richardson import skew_expand
+from .littlewood_richardson import _lr_counts, skew_expand
 from .partitions import (
     EMPTY,
     Partition,
@@ -29,7 +29,6 @@ from .partitions import (
     add_node,
     addable_nodes,
     intersect,
-    enumerate_partitions,
     iter_subpartitions,
     partition_sum,
     remove_node,
@@ -88,19 +87,29 @@ def _pair_key(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
 
 
 def _dvir_band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
-    """Expansion of sum over alpha |- k inside lam^mu of [lam/a].[mu/a]."""
+    """Expansion of sum over alpha |- k inside lam^mu of [lam/a].[mu/a].
+
+    Dvir's band identity: for nu with nu_1 = k <= w = |lam ^ mu|,
+
+        band_k[nu-hat] = sum of g(lam, mu, eta) over eta in Y(nu), eta_1 <= w.
+
+    Every term is a nonnegative Kronecker coefficient and nu is in Y(nu),
+    so g(lam, mu, nu) <= band_k[nu-hat]: a coefficient is nonzero only
+    if nu-hat is in the band's support.  The returned dict holds exactly
+    that support (every stored value is positive).
+    """
     return _band(*_pair_key(lam, mu), k)
 
 
 @cache
 def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
-    beta = intersect(lam, mu)
+    # Multiplies the cached LR tallies directly: alpha lies inside
+    # lam ^ mu, so both skew shapes are valid and no expansion is built.
     acc: dict[Partition, int] = {}
-    for alpha in iter_subpartitions(beta, k):
-        left = skew_expand(SkewShape(lam, alpha))
-        right = skew_expand(SkewShape(mu, alpha))
-        for sig, c1 in left.items():
-            for tau, c2 in right.items():
+    for alpha in iter_subpartitions(intersect(lam, mu), k):
+        right = _lr_counts(mu, alpha).items()
+        for sig, c1 in _lr_counts(lam, alpha).items():
+            for tau, c2 in right:
                 weight = c1 * c2
                 for nu_hat, g in _dvir_product(sig, tau).items():
                     acc[nu_hat] = acc.get(nu_hat, 0) + weight * g
@@ -114,18 +123,29 @@ def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
 @cache
 def _product(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Sweep only the nu that can carry a nonzero coefficient.
+
+    Widths run from w = |lam ^ mu| down to max(1, lam_1 + mu_1 - n).
+    The lower end holds because every constituent of [lam].[mu] has
+    nu_1 >= lam_1 + mu_1 - n: by Young's rule [lam] is a constituent of
+    Ind(1 x [lam-bar]) from S_{lam_1} x S_{n-lam_1}, and by Mackey
+    (push-pull) Ind(1 x [lam-bar]).[mu] = Ind((1 x [lam-bar]).Res[mu]).
+    Res[mu] is a sum of [a] x [mu/a] with a |- lam_1 inside mu, so
+    a_1 >= lam_1 - (n - mu_1), and inducing [a] x (anything) gives only
+    constituents containing a.  At each width the candidates nu = (k,
+    nu-hat) come from the support of the band (see ``_dvir_band``).
+    """
     n = lam.n
-    out: dict[Partition, int] = {}
     if n == 0:
-        out[EMPTY] = 1
-    else:
-        w = max_width(lam, mu)
-        for nu in sorted(enumerate_partitions(n), key=lambda p: (p[0], p), reverse=True):
-            if nu[0] > w:
-                continue
-            g = g_dvir(lam, mu, nu)
-            if g:
-                out[nu] = g
+        return {EMPTY: 1}
+    out: dict[Partition, int] = {}
+    for k in range(max_width(lam, mu), max(1, lam[0] + mu[0] - n) - 1, -1):
+        for nu_hat in _dvir_band(lam, mu, k):
+            if nu_hat.width <= k:
+                nu = Partition((k,) + nu_hat)
+                g = g_dvir(lam, mu, nu)
+                if g:
+                    out[nu] = g
     return out
 
 
@@ -140,12 +160,21 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @cache
 def _g(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """g(lam, mu, nu) = band_k[nu-hat] minus the Y(nu) corrections.
+
+    A zero band entry settles g = 0 at once: the band is a sum of
+    nonnegative coefficients that includes g(lam, mu, nu) itself.
+    """
     w = max_width(lam, mu)
+    # Guards direct g_dvir callers; _product only asks for nu_1 <= w.
     if nu[0] > w:
         return 0
     nu_hat = Partition(nu[1:])
     total = _dvir_band(lam, mu, nu[0]).get(nu_hat, 0)
+    if not total:
+        return 0
     for eta in y_set(nu).members:
+        # Guards the recursion: members wider than w have g = 0.
         if eta != nu and eta[0] <= w:
             total -= g_dvir(lam, mu, eta)
     if total < 0:

@@ -15,7 +15,7 @@ from kronmf.classification import (
     staircase_square,
 )
 from kronmf.expansion import CharacterExpansion
-from kronmf.kronecker import g_max, multiply_expansions
+from kronmf.kronecker import g_dvir, g_max, kron_product, multiply_expansions
 from kronmf.littlewood_richardson import skew_expand
 from kronmf.partitions import (
     Partition,
@@ -32,6 +32,11 @@ def P(*parts):
 
 def irr(*parts):
     return CharacterExpansion.irreducible(P(*parts))
+
+
+def low_depth(n, depths):
+    """The partitions of n whose depth n - lam_1 lies in depths."""
+    return [P(n - d, *bar) for d in depths for bar in enumerate_partitions(d)]
 
 
 class TestIsMfPair:
@@ -157,6 +162,12 @@ class TestProductWithNatural:
             for mu in enumerate_partitions(n):
                 assert product_with_natural(mu) == kron_product_oracle(mu, nat), mu
 
+    def test_matches_dvir_beyond_the_table(self):
+        for n in (20, 30):
+            nat = P(n - 1, 1)
+            for mu in low_depth(n, range(4)):
+                assert product_with_natural(mu) == kron_product(mu, nat, "dvir"), mu
+
 
 class TestTwoRowClosedForms:
     def test_staircase_k2(self):
@@ -258,6 +269,20 @@ class TestSmallDepthProducts:
             assert len(got) == 11 and got.is_multiplicity_free()
             assert got.total_dimension() == dimension(P(n - 3, 3)) * dimension(P(k, k))
 
+    def test_kk_n33_closed_form_matches_dvir(self):
+        for k in (9, 10, 12, 15):
+            got = small_depth_products("kk-times-n33", k=k)
+            assert got == kron_product(P(2 * k - 3, 3), P(k, k), "dvir"), k
+
+    def test_rect_closed_forms_match_dvir(self):
+        for a, b in ((4, 4), (5, 4), (6, 3)):
+            n = a * b
+            rect = P(*([a] * b))
+            got = small_depth_products("rect-times-n22", a=a, b=b)
+            assert got == kron_product(P(n - 2, 2), rect, "dvir"), (a, b)
+            got = small_depth_products("rect-times-n212", a=a, b=b)
+            assert got == kron_product(P(n - 2, 1, 1), rect, "dvir"), (a, b)
+
     def test_small_n_exception_list(self):
         # at 6 <= n <= 9 the mf partners of [n-3,3] among non-linear,
         # non-natural labels are (k,k) plus the listed exceptions
@@ -327,6 +352,21 @@ class TestSquareLowDepth:
                     if coeff is None or target is None:
                         continue
                     assert coeff == square[target], (lam, name)
+
+    def test_dvir_beyond_the_table(self):
+        for n in (20, 30):
+            targets = {
+                "a1": P(n - 1, 1),
+                "a2": P(n - 2, 2),
+                "b2": P(n - 2, 1, 1),
+                "a3": P(n - 3, 3),
+                "b3": P(n - 3, 1, 1, 1),
+                "c3": P(n - 3, 2, 1),
+            }
+            for lam in low_depth(n, (1, 2, 3)):
+                got = square_low_depth(lam)
+                for name, target in targets.items():
+                    assert getattr(got, name) == g_dvir(lam, lam, target), (lam, name)
 
     def test_a2_positive_from_degree_4(self):
         for n in range(4, 11):

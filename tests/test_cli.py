@@ -54,6 +54,15 @@ class TestKron:
         assert res.returncode == 2
         assert "'x'" in res.stderr
 
+    def test_auto_above_the_ceiling_uses_dvir(self):
+        # n = 40 is far beyond the table ceiling; [n-2,2].[n-3,3]
+        res = run_cli("kron", "38,2", "37,3")
+        assert res.returncode == 0
+        assert res.stdout == (
+            "[39,1] + [38,2] + [38,1,1] + 2[37,3] + 2[37,2,1] + [36,4] + 2[36,3,1]"
+            " + [36,2,2] + [36,2,1,1] + [35,5] + [35,4,1] + [35,3,2]\n"
+        )
+
     def test_deterministic_output(self):
         a = run_cli("kron", "4,3,2", "5,2,2", "--format", "json")
         b = run_cli("kron", "4,3,2", "5,2,2", "--format", "json")

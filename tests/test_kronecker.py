@@ -101,7 +101,7 @@ class TestDvir:
             g_at_max_width(P(3, 3), P(4, 2), P(4, 2))
 
     def test_engine_equivalence_exhaustive(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             parts = enumerate_partitions(n)
             for i, lam in enumerate(parts):
                 for mu in parts[i:]:
@@ -137,6 +137,44 @@ class TestDvir:
         hits = kronecker._g.cache_info().hits
         g_dvir(mu, lam, nu)
         assert kronecker._g.cache_info().hits == hits + 1
+
+    def test_murnaghan_stability(self):
+        # g(lam-bar[n], mu-bar[n], nu-bar[n]) is constant for large n; with
+        # all three bars of size <= 3 it has settled by n = 20.
+        bars = [p for d in range(4) for p in enumerate_partitions(d)]
+        pairs = [(a, b) for i, a in enumerate(bars) for b in bars[i:]]
+        assert len(pairs) * len(bars) == 196
+
+        def pad(bar, n):
+            return P(n - bar.n, *bar)
+
+        for a, b in pairs:
+            for c in bars:
+                values = {g_dvir(pad(a, n), pad(b, n), pad(c, n)) for n in (20, 30, 40)}
+                assert len(values) == 1, (a, b, c, values)
+
+    @pytest.mark.parametrize(
+        "lam_bar, mu_bar, terms", [((2,), (3,), 12), ((2, 1), (2, 2), 33)]
+    )
+    def test_product_work_is_independent_of_n(self, lam_bar, mu_bar, terms):
+        # A timing-free gate: the sweep visits only band supports inside
+        # the depth window, so the memo misses of a depth-bounded product
+        # do not grow with n.  Enumerating all p(n) partitions would.
+        kernels = (kronecker._g, kronecker._band, kronecker._product)
+
+        def misses_at(n):
+            for kernel in kernels:
+                kernel.cache_clear()
+            lam = P(n - sum(lam_bar), *lam_bar)
+            mu = P(n - sum(mu_bar), *mu_bar)
+            assert len(kronecker._dvir_product(lam, mu)) == terms
+            return [kernel.cache_info().misses for kernel in kernels]
+
+        at_20 = misses_at(20)
+        # fewer coefficients than p(20) = 627: a full sweep fails here
+        # in seconds instead of running for hours at n = 60
+        assert at_20[0] < len(enumerate_partitions(20))
+        assert misses_at(60) == at_20
 
 
 class TestKronProduct:
