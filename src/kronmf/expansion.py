@@ -103,14 +103,6 @@ class CharacterExpansion:
     def total_dimension(self) -> int:
         return sum(m * dimension(p) for p, m in self._terms.items())
 
-    def inner(self, other: "CharacterExpansion") -> int:
-        """Scalar product assuming both sides are in the irreducible basis."""
-        self._check_degree(other)
-        small, big = self._terms, other._terms
-        if len(big) < len(small):
-            small, big = big, small
-        return sum(m * big.get(p, 0) for p, m in small.items())
-
     def _check_degree(self, other: "CharacterExpansion") -> None:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")

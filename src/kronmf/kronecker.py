@@ -5,11 +5,12 @@ the width of any constituent is bounded by |lam ^ mu| (rowwise
 intersection), coefficients at maximal width come from a product of two
 skew characters of smaller degree, and lower widths follow from the
 band sums with corrections over the horizontal-strip set Y(nu).  All
-corrections have a strictly larger first part, so a sweep by decreasing
-width settles every coefficient.
+corrections have a strictly larger first part, so one width sweep, by
+decreasing width, settles every coefficient: a whole product and a
+single coefficient both come from it.
 
-Products of the smaller-degree irreducibles go through this same engine
-(mutual recursion on strictly smaller degree), never the character
+The bands' products of smaller-degree irreducibles go through this same
+sweep (recursion on strictly smaller degree), never the character
 table, so the oracle stays an independent cross-check.
 """
 
@@ -86,7 +87,8 @@ def _pair_key(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     return (lam, mu) if lam >= mu else (mu, lam)
 
 
-def _dvir_band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
+@cache
+def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     """Expansion of sum over alpha |- k inside lam^mu of [lam/a].[mu/a].
 
     Dvir's band identity: for nu with nu_1 = k <= w = |lam ^ mu|,
@@ -98,11 +100,6 @@ def _dvir_band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     if nu-hat is in the band's support.  The returned dict holds exactly
     that support (every stored value is positive).
     """
-    return _band(*_pair_key(lam, mu), k)
-
-
-@cache
-def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     # Multiplies the cached LR tallies directly: alpha lies inside
     # lam ^ mu, so both skew shapes are valid and no expansion is built.
     acc: dict[Partition, int] = {}
@@ -117,69 +114,54 @@ def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
 
 
 def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Full Kronecker product map at this degree, by the recursion alone."""
-    return _product(*_pair_key(lam, mu))
+    """Full Kronecker product map at this degree, by the recursion alone.
+
+    The sweep stops at width max(1, lam_1 + mu_1 - n), because every
+    constituent of [lam].[mu] has nu_1 >= lam_1 + mu_1 - n: by Young's
+    rule [lam] is a constituent of Ind(1 x [lam-bar]) from S_{lam_1} x
+    S_{n-lam_1}, and by Mackey (push-pull) Ind(1 x [lam-bar]).[mu] =
+    Ind((1 x [lam-bar]).Res[mu]).  Res[mu] is a sum of [a] x [mu/a] with
+    a |- lam_1 inside mu, so a_1 >= lam_1 - (n - mu_1), and inducing
+    [a] x (anything) gives only constituents containing a.
+    """
+    lam, mu = _pair_key(lam, mu)
+    return _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
 
 
 @cache
-def _product(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Sweep only the nu that can carry a nonzero coefficient.
+def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
+    """Every nonzero g(lam, mu, nu) with nu_1 >= low, by decreasing width.
 
-    Widths run from w = |lam ^ mu| down to max(1, lam_1 + mu_1 - n).
-    The lower end holds because every constituent of [lam].[mu] has
-    nu_1 >= lam_1 + mu_1 - n: by Young's rule [lam] is a constituent of
-    Ind(1 x [lam-bar]) from S_{lam_1} x S_{n-lam_1}, and by Mackey
-    (push-pull) Ind(1 x [lam-bar]).[mu] = Ind((1 x [lam-bar]).Res[mu]).
-    Res[mu] is a sum of [a] x [mu/a] with a |- lam_1 inside mu, so
-    a_1 >= lam_1 - (n - mu_1), and inducing [a] x (anything) gives only
-    constituents containing a.  At each width the candidates nu = (k,
-    nu-hat) come from the support of the band (see ``_dvir_band``).
+    At width k the candidates nu = (k, nu-hat) come from the support of
+    the band (see ``_band``), and g(lam, mu, nu) is band_k[nu-hat] minus
+    g(lam, mu, eta) over the other eta in Y(nu).  Those eta are wider
+    than nu, so the widths already swept hold every nonzero one in
+    ``out``; eta wider than |lam ^ mu| have g = 0 and are never there,
+    and nu itself is not there yet.
     """
-    n = lam.n
-    if n == 0:
+    if lam.n == 0:
         return {EMPTY: 1}
     out: dict[Partition, int] = {}
-    for k in range(max_width(lam, mu), max(1, lam[0] + mu[0] - n) - 1, -1):
-        for nu_hat in _dvir_band(lam, mu, k):
+    for k in range(intersect(lam, mu).n, low - 1, -1):
+        for nu_hat, total in _band(lam, mu, k).items():
             if nu_hat.width <= k:
                 nu = Partition((k,) + nu_hat)
-                g = g_dvir(lam, mu, nu)
+                g = total - sum(out.get(eta, 0) for eta in y_set(nu).members)
+                if g < 0:
+                    raise DvirInvariantError(f"negative coefficient {g} at g({lam}, {mu}, {nu})")
                 if g:
                     out[nu] = g
     return out
 
 
 def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Kronecker coefficient by the width recursion (no character tables)."""
+    """Kronecker coefficient by the width recursion (no character tables).
+
+    It runs the pair's width sweep, stopped at width nu_1.
+    """
     if not (lam.n == mu.n == nu.n):
         raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
-    if lam.n == 0:
-        return 1
-    return _g(*_pair_key(lam, mu), nu)
-
-
-@cache
-def _g(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """g(lam, mu, nu) = band_k[nu-hat] minus the Y(nu) corrections.
-
-    A zero band entry settles g = 0 at once: the band is a sum of
-    nonnegative coefficients that includes g(lam, mu, nu) itself.
-    """
-    w = max_width(lam, mu)
-    # Guards direct g_dvir callers; _product only asks for nu_1 <= w.
-    if nu[0] > w:
-        return 0
-    nu_hat = Partition(nu[1:])
-    total = _dvir_band(lam, mu, nu[0]).get(nu_hat, 0)
-    if not total:
-        return 0
-    for eta in y_set(nu).members:
-        # Guards the recursion: members wider than w have g = 0.
-        if eta != nu and eta[0] <= w:
-            total -= g_dvir(lam, mu, eta)
-    if total < 0:
-        raise DvirInvariantError(f"negative coefficient {total} at g({lam}, {mu}, {nu})")
-    return total
+    return _sweep(*_pair_key(lam, mu), nu.row(1)).get(nu, 0)
 
 
 def g_at_max_width(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -189,7 +171,7 @@ def g_at_max_width(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ValueError(f"degree mismatch: {nu.n} vs {lam.n}")
     if nu.row(1) != w:
         raise ValueError(f"nu_1 = {nu.row(1)} != |lam ^ mu| = {w}")
-    return _dvir_band(lam, mu, w).get(Partition(nu[1:]), 0)
+    return _band(*_pair_key(lam, mu), w).get(Partition(nu[1:]), 0)
 
 
 def kron_coefficient(lam: Partition, mu: Partition, nu: Partition, engine: str = "auto") -> int:

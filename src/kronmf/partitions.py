@@ -8,6 +8,7 @@ freely between threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -18,16 +19,17 @@ from typing import Iterable, Iterator, NamedTuple
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
-    Trailing zeros are stripped on construction; anything else that is
-    not weakly decreasing and positive is rejected.  Equality, ordering
-    and hashing are inherited from tuple, so two equal partitions always
-    hash identically.
+    Trailing zeros are stripped on construction; a part that is not an
+    integer raises TypeError (no float or string is coerced), and
+    anything not weakly decreasing and positive is rejected.  Equality,
+    ordering and hashing are inherited from tuple, so two equal
+    partitions always hash identically.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, p in enumerate(parts):
@@ -347,13 +349,6 @@ class SkewShape:
     def row_spans(self) -> list[tuple[int, int]]:
         """Per row: half-open column span (start, end) of the cells."""
         return [(self.inner.row(i), self.outer[i - 1]) for i in range(1, len(self.outer) + 1)]
-
-    def cells(self) -> list[Node]:
-        return [
-            Node(i, j)
-            for i, (a, b) in enumerate(self.row_spans(), start=1)
-            for j in range(a + 1, b + 1)
-        ]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewShape) and self.outer == other.outer and self.inner == other.inner

@@ -74,6 +74,18 @@ class TestIsMfPair:
                     assert base == bool(is_mf_pair(conjugate(lam), conjugate(mu)))
                     assert base == bool(is_mf_pair(mu, lam))
 
+    def test_matches_dvir_beyond_the_table(self):
+        # Every pair of depth <= 4 at n = 20 and 30 (78 pairs per n).
+        # [lam].[mu'] is the conjugate of [lam].[mu], so the same
+        # product also settles the predicate's conjugate clauses.
+        for n in (20, 30):
+            parts = low_depth(n, range(5))
+            for i, lam in enumerate(parts):
+                for mu in parts[i:]:
+                    mf = kron_product(lam, mu, "dvir").is_multiplicity_free()
+                    assert bool(is_mf_pair(lam, mu)) == mf, (lam, mu)
+                    assert bool(is_mf_pair(lam, conjugate(mu))) == mf, (lam, mu)
+
     def test_verdict_invariants(self):
         v = is_mf_pair(P(4, 2), P(4, 2))
         assert v.clause is None and not v.multiplicity_free

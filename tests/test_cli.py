@@ -1,27 +1,39 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from kronmf.cli import main
+
 
 def run_cli(*args, env_extra=None):
-    import os
+    """Run ``main(args)`` in this process, as ``python -m kronmf`` would."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.dict(os.environ, env_extra or {}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "kronmf", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+
+def run_module(*args):
+    """Run ``python -m kronmf`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "kronmf", *args], capture_output=True, text=True)
 
 
 class TestKron:
     def test_text(self):
-        res = run_cli("kron", "2,2", "2,2")
+        res = run_module("kron", "2,2", "2,2")
         assert res.returncode == 0
         assert res.stdout.strip() == "[4] + [2,2] + [1^4]"
 
@@ -284,6 +296,13 @@ class TestVerify:
 )
 def test_usage_error_is_one_line_exit_2(argv):
     res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "error: " in res.stderr
+
+
+def test_usage_error_in_a_fresh_interpreter():
+    res = run_module("verify", "4", "--format", "csv")
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and "error: " in res.stderr

@@ -134,9 +134,9 @@ class TestDvir:
         assert kron_product_oracle(lam, mu) is kron_product_oracle(mu, lam)
         assert kronecker._dvir_product(lam, mu) is kronecker._dvir_product(mu, lam)
         g_dvir(lam, mu, nu)
-        hits = kronecker._g.cache_info().hits
+        hits = kronecker._sweep.cache_info().hits
         g_dvir(mu, lam, nu)
-        assert kronecker._g.cache_info().hits == hits + 1
+        assert kronecker._sweep.cache_info().hits == hits + 1
 
     def test_murnaghan_stability(self):
         # g(lam-bar[n], mu-bar[n], nu-bar[n]) is constant for large n; with
@@ -156,25 +156,29 @@ class TestDvir:
     @pytest.mark.parametrize(
         "lam_bar, mu_bar, terms", [((2,), (3,), 12), ((2, 1), (2, 2), 33)]
     )
-    def test_product_work_is_independent_of_n(self, lam_bar, mu_bar, terms):
+    def test_product_work_is_independent_of_n(self, lam_bar, mu_bar, terms, monkeypatch):
         # A timing-free gate: the sweep visits only band supports inside
         # the depth window, so the memo misses of a depth-bounded product
         # do not grow with n.  Enumerating all p(n) partitions would.
-        kernels = (kronecker._g, kronecker._band, kronecker._product)
+        kernels = (kronecker._band, kronecker._sweep)
+        corrections = []
+        y_set_ = kronecker.y_set
+        monkeypatch.setattr(kronecker, "y_set", lambda nu: corrections.append(nu) or y_set_(nu))
 
-        def misses_at(n):
+        def work_at(n):
             for kernel in kernels:
                 kernel.cache_clear()
+            corrections.clear()
             lam = P(n - sum(lam_bar), *lam_bar)
             mu = P(n - sum(mu_bar), *mu_bar)
             assert len(kronecker._dvir_product(lam, mu)) == terms
-            return [kernel.cache_info().misses for kernel in kernels]
+            return [kernel.cache_info().misses for kernel in kernels], len(corrections)
 
-        at_20 = misses_at(20)
-        # fewer coefficients than p(20) = 627: a full sweep fails here
-        # in seconds instead of running for hours at n = 60
-        assert at_20[0] < len(enumerate_partitions(20))
-        assert misses_at(60) == at_20
+        at_20 = work_at(20)
+        # fewer Y(nu) corrections than p(20) = 627: a full sweep fails
+        # here in seconds instead of running for hours at n = 60
+        assert at_20[1] < len(enumerate_partitions(20))
+        assert work_at(60) == at_20
 
 
 class TestKronProduct:

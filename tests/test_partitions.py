@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import brute_syt_count
+from kronmf.expansion import CharacterExpansion
 from kronmf.partitions import (
     EMPTY,
     Node,
@@ -53,6 +54,13 @@ class TestPartitionType:
             Partition((3, 0, 2))
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    def test_rejects_non_integer_parts(self):
+        for parts in ([2.7, 1], [2.0, 1], "321", ("3", "2")):
+            with pytest.raises(TypeError):
+                Partition(parts)
+        with pytest.raises(TypeError):
+            CharacterExpansion(3, {(2.9, 1): 1})
 
     def test_equal_partitions_hash_identically(self):
         assert hash(P(3, 1)) == hash(Partition([3, 1]))
