@@ -8,10 +8,21 @@ Character values come from the Murnaghan-Nakayama rule applied forward
 on a bead abacus (``_add_strips``): a column of the table is the Schur
 expansion of a power-sum product, built one part at a time, and the
 table builder shares the work of cycle types with a common prefix.  All
-values are exact Python integers.  Two kernels are memoised with
+values are exact Python integers.  Three kernels are memoised with
 ``functools.cache`` for the life of the process: ``_table`` (one table
-per degree) and ``_product_oracle`` (one product per pair of shapes).
-Single values from ``character_value`` are recomputed on each call.
+per degree), ``_packed`` (the same table packed by columns, built on the
+first product of a degree, never by ``character_table``) and
+``_product_oracle`` (one product per pair of shapes).  Single values
+from ``character_value`` are recomputed on each call.
+
+A product [lam].[mu] is one Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 44, 2009): each column rho of the table is packed into
+one integer P_rho with a fixed-width slot per row nu, and the sum over
+rho of cs_rho chi^lam(rho) chi^mu(rho) P_rho holds n! g(lam, mu, nu) in
+slot nu.  That is p(n) big-integer multiply-adds in C in place of p(n)^2
+interpreted ones.  ``kron_oracle`` keeps the row dot product, one
+coefficient at a time, as the independent reference for the packed path.
 """
 
 from __future__ import annotations
@@ -20,10 +31,13 @@ import csv
 import io
 import json
 import os
+import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
+from operator import mul
 
 from .expansion import CharacterExpansion
 from .partitions import Partition, dimension, enumerate_partitions, format_partition
@@ -250,17 +264,64 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
 
 
 @cache
+def _packed(n: int) -> tuple[int, tuple[int, ...]]:
+    """The degree-n table packed by columns: (slot bytes, P_rho per column).
+
+    P_rho = sum over rows nu of chi^nu(rho) * 2^(B * i_nu), i_nu being the
+    row index of nu and B = 8 * slot bytes.  So sum over rho of
+    w_rho * P_rho holds sum over rho of w_rho * chi^nu(rho) in slot nu,
+    as long as each slot's final value fits its B bits.
+
+    Soundness.  For w_rho = cs_rho chi^lam(rho) chi^mu(rho), slot nu's
+    exact value is sum over rho of cs chi^lam chi^mu chi^nu = n! g(lam,
+    mu, nu) >= 0.  It is at most n! * max dim: |chi^nu(rho)| <= dim(nu),
+    and sum over rho of cs |chi^lam chi^mu| <= n! by Cauchy-Schwarz and
+    row orthogonality.  B is a whole number of 64-bit words with
+    B >= bitlen(n! * max dim) + 2, so every slot value lies in [0, 2^B)
+    and the base-2^B digits of the exact sum are those values, with no
+    borrow between slots.  Intermediate sums may be negative or carry
+    across slots; that does not matter, because big-integer arithmetic is
+    exact and only the final sum is read.  The largest dimension is read
+    from the identity class, the last column; the n-cycle column, the
+    first, has entries 0 and +-1 only.
+
+    Packing is linear in the table size, with no per-entry Python
+    arithmetic: each column goes into an array of 64-bit words (each
+    entry the low word of its slot, zero above; array("q") rejects
+    |entry| >= 2^63), which is read as an unsigned integer A.  A negative
+    entry x reads as x + 2^64, flagged by the top bit of its word, so
+    P_rho = A minus twice the flagged bits.
+    """
+    t = _table(n)
+    k = len(t.rows)
+    dim_bound = factorial(n) * max(row[-1] for row in t.values)
+    words = -(-(dim_bound.bit_length() + 2) // 64)
+    sign_bits = int.from_bytes((bytes(7) + b"\x80" + bytes(8 * words - 8)) * k, "little")
+    slots = array("q", bytes(8 * k * words))
+    columns = []
+    for column in zip(*t.values):
+        slots[::words] = array("q", column)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        a = int.from_bytes(slots, "little")
+        columns.append(a - ((a & sign_bits) << 1))
+    return 8 * words, tuple(columns)
+
+
+@cache
 def _product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     n = lam.n
     t = character_table(n)
+    slot, columns = _packed(n)
     nfact = factorial(n)
-    weights = [cs * x * y for cs, x, y in zip(t.class_sizes, t.row(lam), t.row(mu))]
+    weights = map(mul, map(mul, t.class_sizes, t.row(lam)), t.row(mu))
+    digits = sum(map(mul, weights, columns)).to_bytes(slot * len(t.rows), "little")
     terms = {}
-    for nu, row in zip(t.rows, t.values):
-        total = sum(w * z for w, z in zip(weights, row))
-        g, rem = divmod(total, nfact)
-        assert rem == 0 and g >= 0
-        if g:
+    for i, nu in enumerate(t.rows):
+        total = int.from_bytes(digits[i * slot : (i + 1) * slot], "little")
+        if total:
+            g, rem = divmod(total, nfact)
+            assert rem == 0 and g >= 0
             terms[nu] = g
     out = CharacterExpansion(n, terms)
     assert out.total_dimension() == dimension(lam) * dimension(mu)

@@ -122,7 +122,8 @@ def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     S_{n-lam_1}, and by Mackey (push-pull) Ind(1 x [lam-bar]).[mu] =
     Ind((1 x [lam-bar]).Res[mu]).  Res[mu] is a sum of [a] x [mu/a] with
     a |- lam_1 inside mu, so a_1 >= lam_1 - (n - mu_1), and inducing
-    [a] x (anything) gives only constituents containing a.
+    [a] x (anything) gives only constituents containing a.  ``g_dvir``
+    returns 0 below the same bound without sweeping.
     """
     lam, mu = _pair_key(lam, mu)
     return _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
@@ -157,10 +158,14 @@ def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
 def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient by the width recursion (no character tables).
 
-    It runs the pair's width sweep, stopped at width nu_1.
+    It runs the pair's width sweep, stopped at width nu_1.  Below the
+    Mackey bound nu_1 >= lam_1 + mu_1 - n (see ``_dvir_product``) the
+    coefficient is 0 and nothing is swept.
     """
     if not (lam.n == mu.n == nu.n):
         raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
+    if nu.row(1) < lam.row(1) + mu.row(1) - lam.n:
+        return 0
     return _sweep(*_pair_key(lam, mu), nu.row(1)).get(nu, 0)
 
 

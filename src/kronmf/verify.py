@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cache import ProductCache
@@ -115,6 +114,10 @@ def _pair_product_maps(
         else:
             missing.append((lam, mu))
     if missing and jobs > 1:
+        # imported here: it costs every CLI start about 20 ms, and only
+        # --jobs uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks: list[list[tuple[str, str]]] = [[] for _ in range(jobs)]
         for lam, mu in missing:
             chunks[hash((tuple(lam), tuple(mu))) % jobs].append(

@@ -228,6 +228,42 @@ class TestKronProductOracle:
                     assert exp.is_genuine()
 
 
+class TestPackedProduct:
+    """The packed-column product against the row dot product of kron_oracle."""
+
+    @staticmethod
+    def assert_matches_dot_product(lam, mu, parts):
+        got = kron_product_oracle(lam, mu)
+        for nu in parts:
+            assert got[nu] == kron_oracle(lam, mu, nu), (lam, mu, nu)
+
+    def test_every_pair_up_to_9(self):
+        for n in range(10):
+            parts = enumerate_partitions(n)
+            for i, lam in enumerate(parts):
+                for mu in parts[i:]:
+                    self.assert_matches_dot_product(lam, mu, parts)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_seeded_pairs(self, n, monkeypatch):
+        import random
+
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "16")
+        rng = random.Random(n)
+        parts = enumerate_partitions(n)
+        for _ in range(6):
+            self.assert_matches_dot_product(rng.choice(parts), rng.choice(parts), parts)
+
+    def test_slot_width_covers_n_factorial_times_the_largest_dimension(self):
+        # the bound must come from the identity class (1^n), the last
+        # column: the n-cycle column holds only 0 and +-1
+        for n in range(17):
+            slot, columns = characters._packed(n)
+            bound = factorial(n) * max(dimension(p) for p in enumerate_partitions(n))
+            assert 8 * slot >= bound.bit_length() + 2, n
+            assert len(columns) == len(enumerate_partitions(n))
+
+
 class TestConcurrency:
     def test_parallel_reads_are_consistent(self):
         parts = enumerate_partitions(8)

@@ -176,6 +176,15 @@ class TestTable:
         assert res.returncode == 0
         assert len(json.loads(res.stdout)["partitions"]) == 176
 
+    def test_table_never_packs(self):
+        from kronmf import characters
+
+        characters._packed.cache_clear()
+        characters.character_table(14)
+        assert characters._packed.cache_info().misses == 0
+        assert run_cli("table", "14").returncode == 0
+        assert characters._packed.cache_info().misses == 0
+
 
 class TestVerify:
     def test_pairs_clean(self):
@@ -306,6 +315,13 @@ def test_usage_error_in_a_fresh_interpreter():
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and "error: " in res.stderr
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only verify --jobs uses it, and importing it slows every start
+    code = "import sys, kronmf.cli; print('concurrent.futures.process' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout == "False\n"
 
 
 def test_verify_accepts_jobs_1_in_every_mode():

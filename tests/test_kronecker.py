@@ -138,6 +138,13 @@ class TestDvir:
         g_dvir(mu, lam, nu)
         assert kronecker._sweep.cache_info().hits == hits + 1
 
+    def test_below_the_mackey_bound_sweeps_nothing(self):
+        # nu_1 = 20 < 38 + 37 - 40 = 35; the whole product builds 42 bands
+        for kernel in (kronecker._band, kronecker._sweep):
+            kernel.cache_clear()
+        assert g_dvir(P(38, 2), P(37, 3), P(20, 20)) == 0
+        assert kronecker._band.cache_info().misses <= 42
+
     def test_murnaghan_stability(self):
         # g(lam-bar[n], mu-bar[n], nu-bar[n]) is constant for large n; with
         # all three bars of size <= 3 it has settled by n = 20.
