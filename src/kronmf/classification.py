@@ -7,6 +7,13 @@ two-row times hook via the four-indicator formula, and the small-depth
 rectangle products.  Clause matching always normalizes by conjugation
 and reports the first clause that fires, in classification order, so
 verdict provenance is reproducible.
+
+Each predicate states every clause once and derives each fact about an
+operand once per call: the pair predicate builds its clause constants
+for the degree up front, and the skew predicate takes the basic shape
+once, defers to the pair predicate when that shape or its rotation is
+a partition, and otherwise compares one skew expansion with the closed
+forms and their sign twists.
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ from .expansion import CharacterExpansion
 from .kronecker import kron_coefficient, kron_product
 from .littlewood_richardson import skew_expand
 from .partitions import (
-    EMPTY,
     Partition,
     SkewShape,
+    _basic_as_partition,
+    _strip_to_basic,
     add_node,
     addable_nodes,
     conjugate,
@@ -32,8 +40,6 @@ from .partitions import (
     is_rectangle,
     remove_node,
     removable_nodes,
-    rotate_skew,
-    skew_normalize,
 )
 from .verdict import MF_NO, MfVerdict
 
@@ -59,51 +65,45 @@ def _try_partition(parts) -> Partition | None:
         return None
 
 
-def _pair_clause(a: Partition, b: Partition, n: int, clause: int) -> bool:
-    def one_sided(x: Partition, y: Partition) -> bool:
-        if clause == 1:
-            return x == Partition((n,))
-        if clause == 2:
-            return n >= 2 and x == Partition((n - 1, 1)) and is_fat_hook(y)
-        if clause == 3:
-            k, r = divmod(n, 2)
-            shape = Partition((k + 1, k)) if r else Partition((k, k))
-            return x == shape and y == shape
-        if clause == 4:
-            if n % 2:
-                return False
-            k = n // 2
-            if x != Partition((k, k)):
-                return False
-            if is_hook(y):
-                return True
-            others = [_try_partition((k + 1, k - 1)), _try_partition((n - 3, 3))]
-            return any(y == o for o in others if o is not None)
-        if clause == 5:
-            if not (is_rectangle(x) and x):
-                return False
-            others = [_try_partition((n - 2, 2)), _try_partition((n - 2, 1, 1))]
-            return any(y == o for o in others if o is not None)
-        if clause == 6:
-            return (x, y) in _EXCEPTIONAL_PAIRS or (y, x) in _EXCEPTIONAL_PAIRS
-        raise AssertionError(clause)
-
-    return one_sided(a, b) or one_sided(b, a)
+def _labels(*candidates) -> frozenset[Partition]:
+    """The candidate labels that are partitions, trailing zeros stripped."""
+    return frozenset(p for p in map(_try_partition, candidates) if p is not None)
 
 
 def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
-    """Is [lam].[mu] multiplicity-free?  The complete classification."""
+    """Is [lam].[mu] multiplicity-free?  The complete classification.
+
+    Clause i holds when its test holds for (x, y) or (y, x), where x
+    and y are the operands after one of the four conjugation choices.
+    Clauses are tried in order, each under the conjugation choices in
+    ``_CONJ_COMBOS`` order, and the first match is reported.
+    """
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     if lam.n < 1:
         raise ValueError("degree must be at least 1")
     n = lam.n
+    k, r = divmod(n, 2)
+    row = Partition((n,))
+    natural = _try_partition((n - 1, 1))
+    two_row = Partition((k + r, k))
+    kk = None if r else two_row
+    kk_partners = _labels((k + 1, k - 1), (n - 3, 3))
+    rect_partners = _labels((n - 2, 2), (n - 2, 1, 1))
+    clauses = (
+        lambda x, y: x == row,
+        lambda x, y: x == natural and is_fat_hook(y),
+        lambda x, y: x == two_row and y == two_row,
+        lambda x, y: x == kk and (is_hook(y) or y in kk_partners),
+        lambda x, y: is_rectangle(x) and y in rect_partners,
+        lambda x, y: (x, y) in _EXCEPTIONAL_PAIRS,
+    )
     lam_t, mu_t = conjugate(lam), conjugate(mu)
-    for clause in range(1, 7):
+    for clause, holds in enumerate(clauses, start=1):
         for (cl, cr), norm in _CONJ_COMBOS:
             a = lam_t if cl else lam
             b = mu_t if cr else mu
-            if _pair_clause(a, b, n, clause):
+            if holds(a, b) or holds(b, a):
                 return MfVerdict(True, f"pair-case-{clause}", norm)
     return MF_NO
 
@@ -132,57 +132,51 @@ def is_mf_triple(lam: Partition, mu: Partition, nu: Partition) -> MfVerdict:
     return MfVerdict(True, "triple-all-linear")
 
 
-def _skew_equivalent_partition(s: SkewShape) -> Partition:
-    norm = skew_normalize(s)
-    if norm.basic.inner == EMPTY:
-        return norm.basic.outer
-    rot = rotate_skew(norm.basic)
-    assert rot.inner == EMPTY
-    return rot.outer
+def _twist_tag(chi: CharacterExpansion, terms: dict[Partition, int]) -> tuple[str, ...] | None:
+    """() if chi is the sum of terms, ("twist-skew",) if it is its conjugate."""
+    target = CharacterExpansion(chi.degree, terms)
+    if chi == target:
+        return ()
+    if chi == target.conjugate():
+        return ("twist-skew",)
+    return None
 
 
 def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
-    """Is [s].[alpha] multiplicity-free?  Clause tests compare expansions."""
+    """Is [s].[alpha] multiplicity-free?  Clause tests compare expansions.
+
+    Case 2 asks alpha to be a non-linear rectangle, which its conjugate
+    is too, so only the skew side carries a tag there.  Case 3 asks
+    alpha to be (k,k), tagged "conjugate-irr" when its conjugate (2^k)
+    is.
+    """
     if s.size != alpha.n:
         raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {alpha.n}")
-    norm = skew_normalize(s)
-    if norm.basic.size == 0:
+    basic = _strip_to_basic(s)
+    if basic.size == 0:
         return MfVerdict(True, "skew-irr-empty")
-    if norm.basic.inner == EMPTY or norm.rotated_equal:
-        sub = is_mf_pair(_skew_equivalent_partition(s), alpha)
+    label = _basic_as_partition(basic)
+    if label is not None:
+        sub = is_mf_pair(label, alpha)
         if sub:
             return MfVerdict(True, f"skew-irr-reduced:{sub.clause}", sub.normalization)
         return MF_NO
 
     n = alpha.n
-    chi = skew_expand(norm.basic)
-    chi_t = chi.conjugate()
-    alpha_t = conjugate(alpha)
-    combos = (
-        ((chi, alpha), ()),
-        ((chi, alpha_t), ("conjugate-irr",)),
-        ((chi_t, alpha), ("twist-skew",)),
-        ((chi_t, alpha_t), ("twist-skew", "conjugate-irr")),
-    )
-
-    row_pair = CharacterExpansion(
-        n, {Partition((n,)): 1, Partition((n - 1, 1)): 1}
-    ) if n >= 2 else None
-    near_pair = None
-    if n % 2 == 0 and n >= 4:
-        k = n // 2
-        near_pair = CharacterExpansion(
-            n, {Partition((k + 1, k - 1)): 1, Partition((k, k)): 1}
-        )
-
+    chi = skew_expand(basic)
     if chi.is_multiplicity_free() and is_linear(alpha):
         return MfVerdict(True, "skew-irr-case-1")
-    for (c, a), norm_tag in combos:
-        if row_pair is not None and c == row_pair and is_rectangle(a) and len(a) >= 2 and a[0] >= 2:
-            return MfVerdict(True, "skew-irr-case-2", norm_tag)
-    for (c, a), norm_tag in combos:
-        if near_pair is not None and c == near_pair and a == Partition((n // 2, n // 2)):
-            return MfVerdict(True, "skew-irr-case-3", norm_tag)
+    if is_rectangle(alpha) and not is_linear(alpha):
+        twist = _twist_tag(chi, {Partition((n,)): 1, Partition((n - 1, 1)): 1})
+        if twist is not None:
+            return MfVerdict(True, "skew-irr-case-2", twist)
+    k, r = divmod(n, 2)
+    kk = Partition((k, k))
+    if not r and n >= 4 and alpha in (kk, Partition((2,) * k)):
+        twist = _twist_tag(chi, {Partition((k + 1, k - 1)): 1, kk: 1})
+        if twist is not None:
+            conj = () if alpha == kk else ("conjugate-irr",)
+            return MfVerdict(True, "skew-irr-case-3", twist + conj)
     return MF_NO
 
 

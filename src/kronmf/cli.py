@@ -24,7 +24,7 @@ from .expansion import CharacterExpansion
 from .kronecker import ENGINES, kron_coefficient, kron_product
 from .partitions import format_partition, parse_partition, parse_skew
 from .verdict import MfVerdict
-from .verify import VERIFY_MODES, mode_ceiling
+from .verify import DEFAULT_CEILINGS, VERIFY_MODES
 
 
 class CliError(Exception):
@@ -281,15 +281,9 @@ def _cmd_verify(args) -> int:
         raise CliError(f"--cache applies to --mode pairs only, not {args.mode}")
     if args.mode == "engines" and args.engine != "auto":
         raise CliError("--engine does not apply to --mode engines, which runs both engines")
-    try:
-        ceiling = mode_ceiling(args.mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    ceiling = DEFAULT_CEILINGS[args.mode]
     if args.n > ceiling and not args.force:
-        raise CliError(
-            f"n={args.n} exceeds the {args.mode} ceiling {ceiling}; "
-            "pass --force or raise the env override"
-        )
+        raise CliError(f"n={args.n} exceeds the {args.mode} ceiling {ceiling}; pass --force")
     kwargs = {} if args.mode == "engines" else {"engine": args.engine}
     if args.mode == "pairs":
         try:

@@ -9,7 +9,7 @@ play and live with the engines.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .partitions import Partition, dimension, format_partition
 
@@ -17,10 +17,9 @@ from .partitions import Partition, dimension, format_partition
 class CharacterExpansion:
     __slots__ = ("degree", "_terms")
 
-    def __init__(self, degree: int, terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, degree: int, terms: Mapping[Partition, int]):
         acc: dict[Partition, int] = {}
-        for p, m in items:
+        for p, m in terms.items():
             if not isinstance(p, Partition):
                 p = Partition(p)
             if p.n != degree:

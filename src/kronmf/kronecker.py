@@ -266,23 +266,12 @@ class SemigroupBound:
     target: tuple[Partition, Partition]
 
 
-def semigroup_bound(
-    witness: SemigroupWitness, engine: str = "auto", sides: str = "both"
-) -> SemigroupBound:
-    """Lower bound for g at the witness target, from g on the parts.
-
-    ``sides`` selects which part pairs are actually evaluated ("left",
-    "right" or "both"); the maximum over evaluated sides is a valid
-    bound either way, which lets callers skip a part that is beyond
-    desk scale.
-    """
-    pairs = []
-    if sides in ("both", "left"):
-        pairs.append((witness.left_parts[0], witness.right_parts[0]))
-    if sides in ("both", "right"):
-        pairs.append((witness.left_parts[1], witness.right_parts[1]))
-    if not pairs:
-        raise ValueError(f"bad sides selector {sides!r}")
+def semigroup_bound(witness: SemigroupWitness, engine: str = "auto") -> SemigroupBound:
+    """Lower bound for g at the witness target, from g on the parts."""
+    pairs = [
+        (witness.left_parts[0], witness.right_parts[0]),
+        (witness.left_parts[1], witness.right_parts[1]),
+    ]
     bound = 1
     for a, b in pairs:
         if a.n > 0:

@@ -17,6 +17,7 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    _basic_as_partition,
     is_fat_hook,
     is_linear,
     is_near_rectangle,
@@ -99,27 +100,26 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def outer_product_irr(a: Partition, b: Partition) -> CharacterExpansion:
-    """Outer (induction) product of two irreducible characters."""
-    from .partitions import enumerate_partitions
+    """Outer (induction) product of two irreducible characters.
 
-    n = a.n + b.n
-    terms = {}
-    for lam in enumerate_partitions(n):
-        if not lam.contains(a):
-            continue
-        c = skew_expand(SkewShape(lam, a))[b]
-        if c:
-            terms[lam] = c
-    return CharacterExpansion(n, terms)
+    [a] x [b] is the skew character of the disjoint union of the two
+    diagrams.  Placing b up and to the right of a, the union is the
+    skew shape (b + a_1, a) / (a_1^len(b)), so one LR expansion gives
+    the whole product.
+    """
+    w = a.width
+    outer = tuple(part + w for part in b) + tuple(a)
+    return skew_expand(SkewShape(outer, (w,) * len(b)))
 
 
 def outer_product(a: CharacterExpansion, b: CharacterExpansion) -> CharacterExpansion:
     """Bilinear extension of the outer product to expansions."""
-    out = CharacterExpansion.zero(a.degree + b.degree)
+    terms: dict[Partition, int] = {}
     for lam, m1 in a.items():
         for mu, m2 in b.items():
-            out = out + outer_product_irr(lam, mu).scale(m1 * m2)
-    return out
+            for nu, c in outer_product_irr(lam, mu).items():
+                terms[nu] = terms.get(nu, 0) + m1 * m2 * c
+    return CharacterExpansion(a.degree + b.degree, terms)
 
 
 def is_mf_outer(a: Partition, b: Partition) -> MfVerdict:
@@ -203,16 +203,6 @@ def path_profile(s: SkewShape) -> PathProfile:
     )
 
 
-def _component_as_partition(c: SkewShape) -> Partition | None:
-    """The partition a component is equivalent to, up to rotation, else None."""
-    if c.inner == EMPTY:
-        return c.outer
-    rot = rotate_skew(c)
-    if rot.inner == EMPTY:
-        return rot.outer
-    return None
-
-
 def is_mf_skew(s: SkewShape) -> MfVerdict:
     """Gutschwager's classification of multiplicity-free skew characters."""
     norm = skew_normalize(s)
@@ -226,7 +216,7 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
     if len(comps) > 2:
         return MF_NO
     if len(comps) == 2:
-        parts = [_component_as_partition(c) for c in comps]
+        parts = [_basic_as_partition(c) for c in comps]
         if any(p is None for p in parts):
             return MF_NO
         sub = is_mf_outer(parts[0], parts[1])

@@ -433,12 +433,21 @@ def skew_normalize(s: SkewShape) -> SkewNormalForm:
     return SkewNormalForm(basic, comps, rotated_equal)
 
 
+def _basic_as_partition(basic: SkewShape) -> Partition | None:
+    """The partition whose diagram is the basic shape or its 180° rotation.
+
+    None when neither is a partition diagram.  The empty shape is the
+    empty partition.
+    """
+    if basic.inner == EMPTY:
+        return basic.outer
+    rot = rotate_skew(basic)
+    return rot.outer if rot.inner == EMPTY else None
+
+
 def is_proper_skew(s: SkewShape) -> bool:
     """True iff neither the basic shape nor its rotation is a partition diagram."""
-    norm = skew_normalize(s)
-    if norm.basic.size == 0:
-        return False
-    return norm.basic.inner != EMPTY and not norm.rotated_equal
+    return _basic_as_partition(_strip_to_basic(s)) is None
 
 
 def enumerate_basic_skew_shapes(size: int) -> list[SkewShape]:

@@ -10,7 +10,6 @@ identical under any schedule.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -30,18 +29,6 @@ from .partitions import (
 )
 
 DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 7}
-_CEILING_ENV_PREFIX = "KRONMF_VERIFY_CEILING_"
-
-
-def mode_ceiling(mode: str) -> int:
-    name = _CEILING_ENV_PREFIX + mode.upper()
-    raw = os.environ.get(name)
-    if not raw:
-        return DEFAULT_CEILINGS[mode]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kronmf.characters import kron_oracle, kron_product_oracle
@@ -21,8 +23,10 @@ from kronmf.partitions import (
     Partition,
     SkewShape,
     conjugate,
+    enumerate_basic_skew_shapes,
     enumerate_partitions,
     is_linear,
+    iter_subpartitions,
 )
 
 
@@ -143,6 +147,55 @@ class TestIsMfSkewTimesIrr:
         assert not v
         product = multiply_expansions(skew_expand(shape), irr(2, 2, 2))
         assert not product.is_multiplicity_free()
+
+
+def _pair_verdicts():
+    for n in range(1, 13):
+        parts = enumerate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                yield is_mf_pair(lam, mu)
+
+
+def _basic_skew_verdicts():
+    for size in range(8):
+        alphas = enumerate_partitions(size)
+        for s in enumerate_basic_skew_shapes(size):
+            for alpha in alphas:
+                yield is_mf_skew_times_irr(s, alpha)
+
+
+def _skew_verdicts():
+    for m in range(8):
+        for outer in enumerate_partitions(m):
+            for k in range(m + 1):
+                for inner in iter_subpartitions(outer, k):
+                    s = SkewShape(outer, inner)
+                    for alpha in enumerate_partitions(m - k):
+                        yield is_mf_skew_times_irr(s, alpha)
+
+
+@pytest.mark.parametrize(
+    "verdicts, count, digest",
+    [
+        (_pair_verdicts, 12647, "bfa37c69c9cdd3334ef03f725e4ea445514884caf28f5f38b4ac9cf3412aa933"),
+        (_basic_skew_verdicts, 16526, "8faad9033bb075137f109a44ae95c49411a726b7cd1c506d2f379bab051de4c6"),
+        (_skew_verdicts, 1723, "eb41848df0214d422957d66d710fdc4ad85f230606c4be7cf8ad9dad7e1ef9b0"),
+    ],
+    ids=["pairs-n-le-12", "basic-skew-size-le-7", "skew-outer-le-7"],
+)
+def test_verdict_digest_frozen(verdicts, count, digest):
+    # every (clause, normalization) in a fixed order: pair verdicts on
+    # ordered pairs, skew-times-irreducible verdicts on shapes x alpha.
+    # The digests were taken from the clause-per-call predicates, so any
+    # change to a verdict or to its tags changes them.
+    h = hashlib.sha256()
+    seen = 0
+    for v in verdicts():
+        h.update(repr((v.clause, v.normalization)).encode() + b"\n")
+        seen += 1
+    assert seen == count
+    assert h.hexdigest() == digest
 
 
 class TestProductWithNatural:

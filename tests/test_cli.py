@@ -208,15 +208,7 @@ class TestVerify:
     def test_ceiling(self):
         res = run_cli("verify", "10", "--mode", "pairs")
         assert res.returncode == 2
-        res = run_cli(
-            "verify", "3", "--mode", "pairs", env_extra={"KRONMF_VERIFY_CEILING_PAIRS": "2"}
-        )
-        assert res.returncode == 2
-
-    def test_malformed_ceiling_env_exit_2(self):
-        res = run_cli("verify", "3", env_extra={"KRONMF_VERIFY_CEILING_PAIRS": "x"})
-        assert res.returncode == 2
-        assert res.stderr == "error: KRONMF_VERIFY_CEILING_PAIRS='x' is not an integer\n"
+        assert res.stderr == "error: n=10 exceeds the pairs ceiling 9; pass --force\n"
 
     def test_jobs_deterministic(self):
         a = run_cli("verify", "6", "--mode", "pairs", "--jobs", "1")

@@ -6,8 +6,8 @@ from kronmf.cache import ProductCache
 from kronmf.expansion import CharacterExpansion
 from kronmf.partitions import Partition, enumerate_partitions
 from kronmf.verify import (
+    DEFAULT_CEILINGS,
     VerificationReport,
-    mode_ceiling,
     verify_engines,
     verify_pairs,
     verify_skew,
@@ -101,10 +101,7 @@ class TestReports:
         assert "mismatch:" in out.out
 
     def test_mode_ceilings_defaults(self):
-        assert mode_ceiling("pairs") == 9
-        assert mode_ceiling("triples") == 7
-        assert mode_ceiling("skew") == 7
-        assert mode_ceiling("engines") == 7
+        assert DEFAULT_CEILINGS == {"pairs": 9, "triples": 7, "skew": 7, "engines": 7}
 
     def test_report_counts_cover_modes(self):
         assert verify_pairs(3).pairs_checked == 6
