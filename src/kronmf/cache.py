@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 import os
 
-from .partitions import Partition, format_partition, parse_partition
+from .partitions import Partition, canonical_pair, format_partition, parse_partition
 
 HEADER = {"format": "kronmf-cache", "version": 1}
 
 
 def _key(n: int, lam: Partition, mu: Partition) -> tuple[int, Partition, Partition]:
-    if lam < mu:
-        lam, mu = mu, lam
-    return (n, lam, mu)
+    return (n, *canonical_pair(lam, mu))
 
 
 class ProductCache:

@@ -40,7 +40,7 @@ from math import factorial
 from operator import mul
 
 from .expansion import CharacterExpansion
-from .partitions import Partition, dimension, enumerate_partitions, format_partition
+from .partitions import Partition, canonical_pair, dimension, enumerate_partitions, format_partition
 
 DEFAULT_TABLE_CEILING = 14
 _CEILING_ENV = "KRONMF_TABLE_CEILING"
@@ -260,7 +260,7 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     """Full Kronecker product expansion via the character table."""
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
-    return _product_oracle(*((lam, mu) if lam >= mu else (mu, lam)))
+    return _product_oracle(*canonical_pair(lam, mu))
 
 
 @cache

@@ -22,7 +22,7 @@ from .characters import TableCeilingError, character_table
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
 from .expansion import CharacterExpansion
 from .kronecker import ENGINES, kron_coefficient, kron_product
-from .partitions import format_partition, parse_partition, parse_skew
+from .partitions import Partition, format_partition, parse_partition, parse_skew
 from .verdict import MfVerdict
 from .verify import DEFAULT_CEILINGS, VERIFY_MODES
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(VERIFY_MODES), default="pairs")
     _format_flag(p)
     _engine_flag(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (pairs mode only)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per core (pairs mode only)")
     p.add_argument("--cache", default=None, metavar="PATH", help="product cache file (pairs mode only)")
     p.add_argument("--force", action="store_true", help="bypass mode ceilings")
 
@@ -106,6 +106,14 @@ def _parse(text: str):
         raise CliError(str(exc)) from None
 
 
+def _operands(*texts: str) -> list[Partition]:
+    """Parse partition operands that must all have one degree."""
+    parts = [_parse(t) for t in texts]
+    if len({p.n for p in parts}) > 1:
+        raise CliError("degree mismatch: " + ", ".join(f"|{t}| = {p.n}" for t, p in zip(texts, parts)))
+    return parts
+
+
 def _render_expansion(exp: CharacterExpansion, fmt: str, left: str, right: str) -> str:
     if fmt == "text":
         return str(exp)
@@ -115,12 +123,12 @@ def _render_expansion(exp: CharacterExpansion, fmt: str, left: str, right: str) 
                 "left": left,
                 "right": right,
                 "n": exp.degree,
-                "terms": [{"p": format_partition(p), "m": m} for p, m in exp.items()],
+                "terms": [{"p": format_partition(p), "m": exp[p]} for p in exp.support()],
             },
             separators=(",", ":"),
         )
     lines = ["partition,multiplicity"]
-    lines.extend(f"{format_partition(p)},{m}" for p, m in exp.items())
+    lines.extend(f"{format_partition(p)},{exp[p]}" for p in exp.support())
     return "\n".join(lines)
 
 
@@ -142,18 +150,14 @@ def _render_verdict(v: MfVerdict, fmt: str, operands: dict[str, str]) -> str:
 
 
 def _cmd_kron(args) -> int:
-    lam, mu = _parse(args.lam), _parse(args.mu)
-    if lam.n != mu.n:
-        raise CliError(f"degree mismatch: |{args.lam}| = {lam.n}, |{args.mu}| = {mu.n}")
+    lam, mu = _operands(args.lam, args.mu)
     exp = kron_product(lam, mu, args.engine)
     print(_render_expansion(exp, args.format, format_partition(lam), format_partition(mu)))
     return 0
 
 
 def _cmd_coeff(args) -> int:
-    lam, mu, nu = _parse(args.lam), _parse(args.mu), _parse(args.nu)
-    if not (lam.n == mu.n == nu.n):
-        raise CliError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
+    lam, mu, nu = _operands(args.lam, args.mu, args.nu)
     g = kron_coefficient(lam, mu, nu, args.engine)
     if args.format == "json":
         print(
@@ -174,9 +178,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    lam, mu = _parse(args.lam), _parse(args.mu)
-    if lam.n != mu.n:
-        raise CliError(f"degree mismatch: |{args.lam}| = {lam.n}, |{args.mu}| = {mu.n}")
+    lam, mu = _operands(args.lam, args.mu)
     try:
         verdict = is_mf_pair(lam, mu)
     except ValueError as exc:
@@ -192,9 +194,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_classify_triple(args) -> int:
-    lam, mu, nu = _parse(args.lam), _parse(args.mu), _parse(args.nu)
-    if not (lam.n == mu.n == nu.n):
-        raise CliError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
+    lam, mu, nu = _operands(args.lam, args.mu, args.nu)
     try:
         verdict = is_mf_triple(lam, mu, nu)
     except ValueError as exc:
@@ -245,10 +245,7 @@ def _spot_check_orthogonality(table) -> None:
 def _cmd_table(args) -> int:
     if args.n < 0:
         raise CliError("n must be nonnegative")
-    try:
-        table = character_table(args.n, ceiling=None if not args.force else args.n)
-    except TableCeilingError as exc:
-        raise CliError(str(exc)) from None
+    table = character_table(args.n, ceiling=None if not args.force else args.n)
     _spot_check_orthogonality(table)
     if args.format == "json":
         print(table.to_json())
@@ -312,10 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TableCeilingError as exc:
+    except (CliError, TableCeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

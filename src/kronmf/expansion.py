@@ -5,6 +5,9 @@ integer multiplicities.  Genuine characters carry positive entries;
 virtual characters (differences of characters) may go negative.  The
 container is deliberately dumb: products depend on which engine is in
 play and live with the engines.
+
+The library iterates terms in the order they were built; only
+:meth:`CharacterExpansion.support` sorts them, for rendering.
 """
 
 from __future__ import annotations
@@ -18,16 +21,13 @@ class CharacterExpansion:
     __slots__ = ("degree", "_terms")
 
     def __init__(self, degree: int, terms: Mapping[Partition, int]):
-        acc: dict[Partition, int] = {}
-        for p, m in terms.items():
+        for p in terms:
             if not isinstance(p, Partition):
-                p = Partition(p)
+                raise TypeError(f"term label {p!r} is not a Partition")
             if p.n != degree:
                 raise ValueError(f"term {p!r} has degree {p.n}, expected {degree}")
-            if m:
-                acc[p] = acc.get(p, 0) + m
         self.degree = degree
-        self._terms = {p: m for p, m in acc.items() if m}
+        self._terms = {p: m for p, m in terms.items() if m}
 
     @classmethod
     def irreducible(cls, p: Partition) -> "CharacterExpansion":
@@ -41,10 +41,11 @@ class CharacterExpansion:
         return dict(self._terms)
 
     def items(self) -> Iterator[tuple[Partition, int]]:
-        """Terms in descending lex order of the labels."""
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True))
+        """The nonzero terms, in no particular order."""
+        return iter(self._terms.items())
 
     def support(self) -> list[Partition]:
+        """Labels of the nonzero terms in descending lex order: the display order."""
         return sorted(self._terms, reverse=True)
 
     def __getitem__(self, p: Partition) -> int:
@@ -110,7 +111,8 @@ class CharacterExpansion:
         if not self._terms:
             return "0"
         pieces = []
-        for p, m in self.items():
+        for p in self.support():
+            m = self._terms[p]
             label = f"[{format_partition(p)}]"
             if m == 1:
                 term = label

@@ -29,6 +29,7 @@ from .partitions import (
     SkewShape,
     add_node,
     addable_nodes,
+    canonical_pair,
     intersect,
     iter_subpartitions,
     partition_sum,
@@ -59,17 +60,13 @@ def max_width(lam: Partition, mu: Partition) -> int:
     return intersect(lam, mu).n
 
 
-@dataclass(frozen=True)
-class YNuSet:
-    base: Partition
-    members: tuple[Partition, ...]
-
-
-def y_set(nu: Partition) -> YNuSet:
-    """Partitions obtained from nu-hat by adding a horizontal strip of nu_1.
+def y_set(nu: Partition) -> tuple[Partition, ...]:
+    """Partitions obtained from nu-hat by adding a horizontal strip of nu_1,
+    in descending lex order.
 
     Interleaving characterisation: eta_i >= nu_{i+1} >= eta_{i+1} for
-    all i >= 1, with |eta| = |nu|.
+    all i >= 1, with |eta| = |nu|.  Members stay Partitions: a raw tuple
+    from the last range keeps a trailing zero and misses Partition keys.
     """
     n = nu.n
     ell = len(nu)
@@ -80,11 +77,7 @@ def y_set(nu: Partition) -> YNuSet:
         if head >= nu.row(2):
             members.append(Partition((head,) + tail))
     members.sort(reverse=True)
-    return YNuSet(nu, tuple(members))
-
-
-def _pair_key(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
-    return (lam, mu) if lam >= mu else (mu, lam)
+    return tuple(members)
 
 
 @cache
@@ -125,7 +118,7 @@ def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     [a] x (anything) gives only constituents containing a.  ``g_dvir``
     returns 0 below the same bound without sweeping.
     """
-    lam, mu = _pair_key(lam, mu)
+    lam, mu = canonical_pair(lam, mu)
     return _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
 
 
@@ -147,7 +140,7 @@ def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
         for nu_hat, total in _band(lam, mu, k).items():
             if nu_hat.width <= k:
                 nu = Partition((k,) + nu_hat)
-                g = total - sum(out.get(eta, 0) for eta in y_set(nu).members)
+                g = total - sum(out.get(eta, 0) for eta in y_set(nu))
                 if g < 0:
                     raise DvirInvariantError(f"negative coefficient {g} at g({lam}, {mu}, {nu})")
                 if g:
@@ -166,7 +159,7 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
     if nu.row(1) < lam.row(1) + mu.row(1) - lam.n:
         return 0
-    return _sweep(*_pair_key(lam, mu), nu.row(1)).get(nu, 0)
+    return _sweep(*canonical_pair(lam, mu), nu.row(1)).get(nu, 0)
 
 
 def g_at_max_width(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -176,7 +169,7 @@ def g_at_max_width(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ValueError(f"degree mismatch: {nu.n} vs {lam.n}")
     if nu.row(1) != w:
         raise ValueError(f"nu_1 = {nu.row(1)} != |lam ^ mu| = {w}")
-    return _band(*_pair_key(lam, mu), w).get(Partition(nu[1:]), 0)
+    return _band(*canonical_pair(lam, mu), w).get(Partition(nu[1:]), 0)
 
 
 def kron_coefficient(lam: Partition, mu: Partition, nu: Partition, engine: str = "auto") -> int:
@@ -208,6 +201,7 @@ def multiply_expansions(
     """Pointwise (Kronecker) product of two expansions of equal degree."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    engine = _resolve_engine(engine, a.degree)
     acc: dict[Partition, int] = {}
     for sig, c1 in a.items():
         for tau, c2 in b.items():

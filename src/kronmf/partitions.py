@@ -101,6 +101,11 @@ def intersect(p: Partition, q: Partition) -> Partition:
     return Partition(min(a, b) for a, b in zip(p, q))
 
 
+def canonical_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
+    """{lam, mu} lex-larger first: the key order of every pair memo and the cache."""
+    return (lam, mu) if lam >= mu else (mu, lam)
+
+
 def partition_sum(p: Partition, q: Partition) -> Partition:
     """Componentwise sum, padding the shorter with zeros."""
     if len(p) < len(q):

@@ -10,6 +10,7 @@ identical under any schedule.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -100,6 +101,8 @@ def _pair_product_maps(
             results[(lam, mu)] = hit
         else:
             missing.append((lam, mu))
+    # a pool starts all its workers at once; more than the cores buys nothing
+    jobs = min(jobs, os.cpu_count() or 1)
     if missing and jobs > 1:
         # imported here: it costs every CLI start about 20 ms, and only
         # --jobs uses it

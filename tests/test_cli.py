@@ -8,7 +8,9 @@ from unittest import mock
 
 import pytest
 
-from kronmf.cli import main
+from kronmf.cli import _render_expansion, main
+from kronmf.expansion import CharacterExpansion
+from kronmf.partitions import Partition
 
 
 def run_cli(*args, env_extra=None):
@@ -79,6 +81,17 @@ class TestKron:
         a = run_cli("kron", "4,3,2", "5,2,2", "--format", "json")
         b = run_cli("kron", "4,3,2", "5,2,2", "--format", "json")
         assert a.stdout == b.stdout
+
+    def test_renderers_sort_terms_whatever_the_insertion_order(self):
+        # expansions keep insertion order; support() is the one display order
+        P = Partition
+        exp = CharacterExpansion(4, {P((1, 1, 1, 1)): 1, P((4,)): 1, P((2, 2)): 2})
+        assert str(exp) == "[4] + 2[2,2] + [1^4]"
+        assert _render_expansion(exp, "text", "a", "b") == str(exp)
+        assert json.loads(_render_expansion(exp, "json", "a", "b"))["terms"] == [
+            {"p": "4", "m": 1}, {"p": "2,2", "m": 2}, {"p": "1^4", "m": 1},
+        ]
+        assert _render_expansion(exp, "csv", "a", "b") == "partition,multiplicity\n4,1\n2,2,2\n1^4,1"
 
 
 class TestCoeff:
@@ -214,6 +227,31 @@ class TestVerify:
         a = run_cli("verify", "6", "--mode", "pairs", "--jobs", "1")
         b = run_cli("verify", "6", "--mode", "pairs", "--jobs", "3")
         assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+    def test_jobs_is_bounded_by_the_core_count(self, monkeypatch):
+        # a stand-in pool that maps in this process: no worker is started
+        import concurrent.futures
+
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        many = run_cli("verify", "5", "--jobs", "100000")
+        one = run_cli("verify", "5", "--jobs", "1")
+        assert all(w <= (os.cpu_count() or 1) for w in seen)
+        assert many.stdout == one.stdout and many.returncode == one.returncode == 0
 
     def test_engine_flag_reaches_the_sweep(self):
         a = run_cli("verify", "5", "--mode", "pairs", "--engine", "dvir")

@@ -58,11 +58,11 @@ class TestMaxWidth:
 
 class TestYSet:
     def test_examples(self):
-        assert [tuple(e) for e in y_set(P(3, 2, 1)).members] == [
+        assert [tuple(e) for e in y_set(P(3, 2, 1))] == [
             (5, 1), (4, 2), (4, 1, 1), (3, 2, 1),
         ]
-        assert y_set(P(5)).members == (P(5),)
-        assert set(y_set(P(1, 1)).members) == {P(1, 1), P(2)}
+        assert y_set(P(5)) == (P(5),)
+        assert set(y_set(P(1, 1))) == {P(1, 1), P(2)}
 
     def test_matches_interleaving_definition(self):
         for n in range(1, 9):
@@ -75,11 +75,11 @@ class TestYSet:
                     return True
 
                 expected = sorted((e for e in parts if interleaves(e)), reverse=True)
-                assert list(y_set(nu).members) == expected
+                assert list(y_set(nu)) == expected
 
     def test_members_include_base_and_larger_heads(self):
         for nu in enumerate_partitions(7):
-            members = y_set(nu).members
+            members = y_set(nu)
             assert nu in members
             assert all(e == nu or e[0] > nu[0] for e in members)
 
@@ -240,6 +240,21 @@ class TestMultiplyExpansions:
                 CharacterExpansion.irreducible(P(2)),
                 CharacterExpansion.irreducible(P(2, 1)),
             )
+
+    def test_engine_is_resolved_once_per_product(self, monkeypatch):
+        calls = []
+        ceiling = kronecker.table_ceiling
+        monkeypatch.setattr(kronecker, "table_ceiling", lambda: calls.append(1) or ceiling())
+        a = skew_expand(SkewShape(P(3, 2, 1), P(1)))
+        b = skew_expand(SkewShape(P(4, 2), P(1)))
+        assert len(a) * len(b) > 1
+        got = multiply_expansions(a, b)
+        assert len(calls) == 1
+        expected = CharacterExpansion.zero(5)
+        for sig, c1 in a.items():
+            for tau, c2 in b.items():
+                expected = expected + kron_product(sig, tau, "dvir").scale(c1 * c2)
+        assert got == expected
 
 
 class TestSemigroup:

@@ -59,8 +59,9 @@ class TestPartitionType:
         for parts in ([2.7, 1], [2.0, 1], "321", ("3", "2")):
             with pytest.raises(TypeError):
                 Partition(parts)
-        with pytest.raises(TypeError):
-            CharacterExpansion(3, {(2.9, 1): 1})
+        for terms in ({(2.9, 1): 1}, {(2, 1): 1}):
+            with pytest.raises(TypeError):
+                CharacterExpansion(3, terms)
 
     def test_equal_partitions_hash_identically(self):
         assert hash(P(3, 1)) == hash(Partition([3, 1]))

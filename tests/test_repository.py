@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -19,3 +21,21 @@ def test_no_ignored_file_is_tracked():
         check=True,
     )
     assert res.stdout == ""
+
+
+def test_benchmark_probes_resolve():
+    # every function, method and class the benchmark tracer wraps exists
+    path = ROOT / "perfbench" / "tracer.py"
+    if not path.exists():
+        pytest.skip("no benchmark tracer in this tree")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module, attr in tracer.SPANS + tracer.CONSTRUCTORS:
+        owner = importlib.import_module("kronmf." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
