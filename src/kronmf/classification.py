@@ -163,6 +163,13 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
         return MF_NO
 
     n = alpha.n
+    k, r = divmod(n, 2)
+    kk = Partition((k, k))
+    case_3 = not r and n >= 4 and alpha in (kk, Partition((2,) * k))
+    # every clause below needs alpha linear, a rectangle or case-3 shaped
+    # (a linear alpha is a rectangle); expand the skew shape only then
+    if not (is_rectangle(alpha) or case_3):
+        return MF_NO
     chi = skew_expand(basic)
     if chi.is_multiplicity_free() and is_linear(alpha):
         return MfVerdict(True, "skew-irr-case-1")
@@ -170,9 +177,7 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
         twist = _twist_tag(chi, {Partition((n,)): 1, Partition((n - 1, 1)): 1})
         if twist is not None:
             return MfVerdict(True, "skew-irr-case-2", twist)
-    k, r = divmod(n, 2)
-    kk = Partition((k, k))
-    if not r and n >= 4 and alpha in (kk, Partition((2,) * k)):
+    if case_3:
         twist = _twist_tag(chi, {Partition((k + 1, k - 1)): 1, kk: 1})
         if twist is not None:
             conj = () if alpha == kk else ("conjugate-irr",)

@@ -148,6 +148,21 @@ class TestIsMfSkewTimesIrr:
         product = multiply_expansions(skew_expand(shape), irr(2, 2, 2))
         assert not product.is_multiplicity_free()
 
+    def test_expands_only_for_alphas_a_clause_reads(self, monkeypatch):
+        # A timing-free gate: only a rectangular alpha, or (k,k) / (2^k),
+        # reaches a clause that reads the expansion, so every other alpha
+        # is settled before skew_expand.  Expanding for every alpha would
+        # make 2,794 calls here.
+        import kronmf.classification as classification
+        from kronmf.verify import verify_skew
+
+        calls = []
+        monkeypatch.setattr(
+            classification, "skew_expand", lambda s: calls.append(s) or skew_expand(s)
+        )
+        assert verify_skew(6).ok
+        assert len(calls) <= 1016
+
 
 def _pair_verdicts():
     for n in range(1, 13):

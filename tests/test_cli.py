@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -295,6 +297,62 @@ class TestVerify:
         res = run_cli("verify", "4", "--mode", "pairs", "--cache", str(path))
         assert res.returncode == 2
         assert res.stderr == f"error: {path}: line 3 is not a cache record\n"
+
+    def test_cache_bytes_are_frozen(self, tmp_path):
+        # the on-disk format: header, records in sweep order, terms sorted
+        path = tmp_path / "cache.jsonl"
+        assert run_cli("verify", "8", "--mode", "pairs", "--cache", str(path)).returncode == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ba4e9aff9432859f2609d89845957f450fa61c20359b3012ded8e699430ddf72"
+        )
+
+    @pytest.mark.parametrize(
+        "lineno, record",
+        [
+            # a label of the wrong degree, in place of [["3",1]]
+            (2, '{"n":3,"lambda":"3","mu":"3","terms":[["4",1]]}'),
+            # operands of the wrong degree
+            (2, '{"n":3,"lambda":"4","mu":"3","terms":[["3",1]]}'),
+            (2, '{"n":3,"lambda":"3","mu":"4","terms":[["3",1]]}'),
+            # sum(m * dim nu) = 4, not dim [3] * dim [3] = 1
+            (8, '{"n":3,"lambda":"3","mu":"3","terms":[["2,1",2]]}'),
+            # multiplicities that are not positive ints
+            (2, '{"n":3,"lambda":"3","mu":"3","terms":[["3",1.5]]}'),
+            (2, '{"n":3,"lambda":"3","mu":"3","terms":[["3","1"]]}'),
+            (2, '{"n":3,"lambda":"3","mu":"3","terms":[["3",true]]}'),
+            (8, '{"n":3,"lambda":"3","mu":"3","terms":[["3",1],["2,1",0]]}'),
+            # a repeated label whose dimensions still add up
+            (8, '{"n":3,"lambda":"2,1","mu":"2,1","terms":[["3",1],["3",1],["2,1",1]]}'),
+        ],
+    )
+    def test_cache_record_that_is_not_a_product_exit_2(self, tmp_path, lineno, record):
+        path = tmp_path / "cache.jsonl"
+        assert run_cli("verify", "3", "--mode", "pairs", "--cache", str(path)).returncode == 0
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 7
+        lines[lineno - 1 : lineno] = [record + "\n"]
+        path.write_text("".join(lines))
+        res = run_cli("verify", "3", "--mode", "pairs", "--cache", str(path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {path}: line {lineno} is not a cache record\n"
+
+    def test_wall_time_covers_the_cache_load(self, tmp_path, monkeypatch):
+        from kronmf.cache import ProductCache
+
+        path = str(tmp_path / "cache.jsonl")
+        assert run_cli("verify", "3", "--mode", "pairs", "--cache", path).returncode == 0
+        load = ProductCache._load
+
+        def slow_load(self):
+            time.sleep(0.2)
+            load(self)
+
+        monkeypatch.setattr(ProductCache, "_load", slow_load)
+        res = run_cli("verify", "3", "--mode", "pairs", "--cache", path)
+        assert res.returncode == 0
+        assert res.stderr.startswith("wall_time=") and res.stderr.endswith("s\n")
+        assert float(res.stderr[len("wall_time=") : -2]) >= 0.2
 
     def test_json_report(self):
         res = run_cli("verify", "4", "--mode", "pairs", "--format", "json")

@@ -58,6 +58,33 @@ class TestProductCache:
         reloaded = ProductCache(path)
         assert reloaded.get(2, P(2), P(2)) == {P(1, 1): 1}
 
+    def test_each_distinct_partition_is_converted_once(self, tmp_path, monkeypatch):
+        # A timing-free gate: a cache of verify_pairs(9) holds 465 records
+        # over p(9) = 30 distinct partitions, so writing it formats, and
+        # loading it parses, each partition at most once.
+        import kronmf.cache as cache_mod
+
+        calls = {"parse": 0, "format": 0}
+
+        def counting(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapper
+
+        monkeypatch.setattr(cache_mod, "parse_partition", counting("parse", cache_mod.parse_partition))
+        monkeypatch.setattr(cache_mod, "format_partition", counting("format", cache_mod.format_partition))
+        path = str(tmp_path / "c.jsonl")
+        cold = ProductCache(path)
+        assert verify_pairs(9, cache=cold).ok
+        reloaded = ProductCache(path)
+        p9 = len(enumerate_partitions(9))
+        assert len(reloaded) == p9 * (p9 + 1) // 2
+        assert reloaded._records == cold._records
+        assert 0 < calls["format"] <= p9
+        assert 0 < calls["parse"] <= p9
+
 
 class TestReports:
     def test_clean_report_text(self):
