@@ -10,7 +10,7 @@ verdict provenance is reproducible.
 
 Each predicate states every clause once and derives each fact about an
 operand once per call: the pair predicate builds its clause constants
-for the degree up front, and the skew predicate takes the basic shape
+once per degree, and the skew predicate takes the basic shape
 once, defers to the pair predicate when that shape or its rotation is
 a partition, and otherwise compares one skew expansion with the closed
 forms and their sign twists.
@@ -19,6 +19,7 @@ forms and their sign twists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .expansion import CharacterExpansion
 from .kronecker import kron_coefficient, kron_product
@@ -70,6 +71,26 @@ def _labels(*candidates) -> frozenset[Partition]:
     return frozenset(p for p in map(_try_partition, candidates) if p is not None)
 
 
+@cache
+def _pair_clauses(n: int) -> tuple:
+    """The six clause tests of ``is_mf_pair`` at degree n, in order."""
+    k, r = divmod(n, 2)
+    row = Partition((n,))
+    natural = _try_partition((n - 1, 1))
+    two_row = Partition((k + r, k))
+    kk = None if r else two_row
+    kk_partners = _labels((k + 1, k - 1), (n - 3, 3))
+    rect_partners = _labels((n - 2, 2), (n - 2, 1, 1))
+    return (
+        lambda x, y: x == row,
+        lambda x, y: x == natural and is_fat_hook(y),
+        lambda x, y: x == two_row and y == two_row,
+        lambda x, y: x == kk and (is_hook(y) or y in kk_partners),
+        lambda x, y: is_rectangle(x) and y in rect_partners,
+        lambda x, y: (x, y) in _EXCEPTIONAL_PAIRS,
+    )
+
+
 def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     """Is [lam].[mu] multiplicity-free?  The complete classification.
 
@@ -82,24 +103,8 @@ def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     if lam.n < 1:
         raise ValueError("degree must be at least 1")
-    n = lam.n
-    k, r = divmod(n, 2)
-    row = Partition((n,))
-    natural = _try_partition((n - 1, 1))
-    two_row = Partition((k + r, k))
-    kk = None if r else two_row
-    kk_partners = _labels((k + 1, k - 1), (n - 3, 3))
-    rect_partners = _labels((n - 2, 2), (n - 2, 1, 1))
-    clauses = (
-        lambda x, y: x == row,
-        lambda x, y: x == natural and is_fat_hook(y),
-        lambda x, y: x == two_row and y == two_row,
-        lambda x, y: x == kk and (is_hook(y) or y in kk_partners),
-        lambda x, y: is_rectangle(x) and y in rect_partners,
-        lambda x, y: (x, y) in _EXCEPTIONAL_PAIRS,
-    )
     lam_t, mu_t = conjugate(lam), conjugate(mu)
-    for clause, holds in enumerate(clauses, start=1):
+    for clause, holds in enumerate(_pair_clauses(lam.n), start=1):
         for (cl, cr), norm in _CONJ_COMBOS:
             a = lam_t if cl else lam
             b = mu_t if cr else mu

@@ -495,13 +495,23 @@ def enumerate_basic_skew_shapes(size: int) -> list[SkewShape]:
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
+MAX_PARSED_SIZE = 10**6
+
 
 def parse_partition(text: str) -> Partition:
-    """Parse the ``a`` / ``a^b`` comma grammar, e.g. ``5,4,2^3,1``."""
+    """Parse the ``a`` / ``a^b`` comma grammar, e.g. ``5,4,2^3,1``.
+
+    The size, the sum of a * b over the terms, is checked before any term
+    is expanded: more than ``MAX_PARSED_SIZE`` (10^6) cells is a
+    ``ValueError``.  Expanding ``a^b`` builds a list of length b, and
+    conjugating, the first step on most operands, one as long as the
+    first part, so a few characters could otherwise ask for more memory
+    than the machine has.  No engine computes anywhere near the bound.
+    """
     s = re.sub(r"\s+", "", text)
     if not s:
         return EMPTY
-    parts: list[int] = []
+    terms: list[tuple[int, int]] = []
     for term in s.split(","):
         m = _TERM_RE.match(term)
         if not m:
@@ -510,9 +520,12 @@ def parse_partition(text: str) -> Partition:
         b = int(m.group(2)) if m.group(2) else 1
         if a <= 0 or b <= 0:
             raise ValueError(f"bad partition term {term!r}")
-        parts.extend([a] * b)
+        terms.append((a, b))
+    size = sum(a * b for a, b in terms)
+    if size > MAX_PARSED_SIZE:
+        raise ValueError(f"{text!r}: size {size} exceeds the bound of {MAX_PARSED_SIZE} cells")
     try:
-        return Partition(parts)
+        return Partition([a for a, b in terms for _ in range(b)])
     except ValueError as exc:
         raise ValueError(f"{text!r}: {exc}") from None
 

@@ -2,17 +2,20 @@
 
 Each sweep compares a classification predicate against direct
 computation (or one engine against the other) over the complete space
-at one degree and returns a deterministic report.  Pair sweeps can run
-on a process pool; the pair space is partitioned by hash of the
-canonical key and results are sorted after aggregation, so reports are
-identical under any schedule.
+at one degree.  A sweep yields one row per check: None for a pass, or
+the mismatch tuple, whose labels are rendered only then.  One loop,
+``_report``, counts the rows and sorts the mismatches, so every mode
+returns a deterministic report the same way.  The sweeps keep no clock;
+the CLI times a whole run.  Pair sweeps can run on a process pool; the
+pair space is partitioned by hash of the canonical key and results are
+sorted after aggregation, so reports are identical under any schedule.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 
 from .cache import ProductCache
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
@@ -21,10 +24,10 @@ from .kronecker import kron_product, multiply_expansions
 from .littlewood_richardson import is_mf_skew, skew_expand
 from .partitions import (
     Partition,
+    SkewShape,
     enumerate_basic_skew_shapes,
     enumerate_partitions,
     format_partition,
-    format_skew,
     is_proper_skew,
     parse_partition,
 )
@@ -39,7 +42,6 @@ class VerificationReport:
     engine: str
     pairs_checked: int
     mismatches: list[tuple[str, str, str, str]] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -130,58 +132,81 @@ def _pair_product_maps(
     return results
 
 
+def _report(n: int, mode: str, engine: str, rows) -> VerificationReport:
+    """Count one row per check and keep the mismatches, sorted."""
+    checked, mismatches = 0, []
+    for checked, row in enumerate(rows, start=1):
+        if row:
+            mismatches.append(row)
+    return VerificationReport(n, mode, engine, checked, sorted(mismatches))
+
+
+def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str] | None:
+    """None if the predicate agrees with the computation, else the mismatch.
+
+    Labels are rendered only for a mismatch; several right-hand labels
+    (a triple's second and third operands) are joined by " | ".
+    """
+    predicted = bool(predicted)
+    if predicted == computed:
+        return None
+    verdicts = ("mf" if predicted else "not-mf", "mf" if computed else "not-mf")
+    return (str(left), " | ".join(map(str, right))) + verdicts
+
+
 def verify_pairs(
     n: int, engine: str = "auto", jobs: int = 1, cache: ProductCache | None = None
 ) -> VerificationReport:
     """Pair classification: is_mf_pair iff the computed product has max mult 1."""
-    start = time.monotonic()
     pairs = _unordered_pairs(enumerate_partitions(n))
     products = _pair_product_maps(n, pairs, engine, jobs, cache)
-    report = VerificationReport(n, "pairs", engine, pairs_checked=len(pairs))
-    for lam, mu in pairs:
-        predicted = bool(is_mf_pair(lam, mu))
-        computed = max(products[(lam, mu)].values()) == 1
-        if predicted != computed:
-            report.mismatches.append(
-                (
-                    format_partition(lam),
-                    format_partition(mu),
-                    "mf" if predicted else "not-mf",
-                    "mf" if computed else "not-mf",
-                )
-            )
-    report.mismatches.sort()
-    report.wall_time = time.monotonic() - start
-    return report
+    rows = (
+        _mf_row(is_mf_pair(lam, mu), max(products[(lam, mu)].values()) == 1, lam, mu)
+        for lam, mu in pairs
+    )
+    return _report(n, "pairs", engine, rows)
+
+
+def _triple_rows(parts: list[Partition], engine: str):
+    for i, lam in enumerate(parts):
+        for j, mu in enumerate(parts[i:], start=i):
+            left = kron_product(lam, mu, engine)
+            for nu in parts[j:]:
+                triple = multiply_expansions(left, CharacterExpansion.irreducible(nu), engine)
+                yield _mf_row(is_mf_triple(lam, mu, nu), triple.is_multiplicity_free(), lam, mu, nu)
 
 
 def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
     """Triple products: predicate vs computed multiplicity, all triples."""
-    start = time.monotonic()
-    parts = enumerate_partitions(n)
-    report = VerificationReport(n, "triples", engine, pairs_checked=0)
-    for i in range(len(parts)):
-        for j in range(i, len(parts)):
-            left = kron_product(parts[i], parts[j], engine)
-            for k in range(j, len(parts)):
-                report.pairs_checked += 1
-                triple = multiply_expansions(
-                    left, CharacterExpansion.irreducible(parts[k]), engine
-                )
-                computed = triple.is_multiplicity_free()
-                predicted = bool(is_mf_triple(parts[i], parts[j], parts[k]))
-                if predicted != computed:
-                    report.mismatches.append(
-                        (
-                            format_partition(parts[i]),
-                            f"{format_partition(parts[j])} | {format_partition(parts[k])}",
-                            "mf" if predicted else "not-mf",
-                            "mf" if computed else "not-mf",
-                        )
-                    )
-    report.mismatches.sort()
-    report.wall_time = time.monotonic() - start
-    return report
+    return _report(n, "triples", engine, _triple_rows(enumerate_partitions(n), engine))
+
+
+def _skew_rows(n: int, engine: str):
+    alphas = enumerate_partitions(n)
+    proper: dict[CharacterExpansion, SkewShape] = {}
+    n_proper = 0
+    for s in enumerate_basic_skew_shapes(n):
+        chi = skew_expand(s)
+        yield _mf_row(is_mf_skew(s), chi.is_multiplicity_free(), s, "-")
+        if is_proper_skew(s):
+            n_proper += 1
+            proper.setdefault(chi, s)
+        for alpha in alphas:
+            product = multiply_expansions(chi, CharacterExpansion.irreducible(alpha), engine)
+            yield _mf_row(is_mf_skew_times_irr(s, alpha), product.is_multiplicity_free(), s, alpha)
+
+    mf_proper = sorted(
+        (chi for chi in proper if chi.is_multiplicity_free()),
+        key=lambda c: sorted(c.terms().items(), reverse=True),
+    )
+    for i, a in enumerate(mf_proper):
+        for b in mf_proper[i:]:
+            product = multiply_expansions(a, b, engine)
+            yield _mf_row(False, product.is_multiplicity_free(), proper[a], proper[b])
+    # pairs with a non-mf factor are settled by the repeated-constituent
+    # argument; one passing row each keeps the tally over the full space
+    k = len(mf_proper)
+    yield from repeat(None, n_proper * (n_proper + 1) // 2 - k * (k + 1) // 2)
 
 
 def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
@@ -193,94 +218,24 @@ def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
     constituent sigma contributes 2([sigma].[t]) != 0 to the product, so
     those pairs can never be multiplicity-free.  They are still counted.
     """
-    start = time.monotonic()
-    shapes = enumerate_basic_skew_shapes(n)
-    alphas = enumerate_partitions(n)
-    report = VerificationReport(n, "skew", engine, pairs_checked=0)
+    return _report(n, "skew", engine, _skew_rows(n, engine))
 
-    proper_expansions: dict[CharacterExpansion, str] = {}
-    n_proper = 0
-    for s in shapes:
-        chi = skew_expand(s)
-        report.pairs_checked += 1
-        predicted = bool(is_mf_skew(s))
-        computed = chi.is_multiplicity_free()
-        if predicted != computed:
-            report.mismatches.append(
-                (format_skew(s), "-", "mf" if predicted else "not-mf", "mf" if computed else "not-mf")
-            )
-        if is_proper_skew(s):
-            n_proper += 1
-            proper_expansions.setdefault(chi, format_skew(s))
-        for alpha in alphas:
-            report.pairs_checked += 1
-            predicted = bool(is_mf_skew_times_irr(s, alpha))
-            product = multiply_expansions(
-                chi, CharacterExpansion.irreducible(alpha), engine
-            )
-            computed = product.is_multiplicity_free()
-            if predicted != computed:
-                report.mismatches.append(
-                    (
-                        format_skew(s),
-                        format_partition(alpha),
-                        "mf" if predicted else "not-mf",
-                        "mf" if computed else "not-mf",
-                    )
-                )
 
-    mf_proper = sorted(
-        (chi for chi in proper_expansions if chi.is_multiplicity_free()),
-        key=lambda c: sorted(c.terms().items(), reverse=True),
-    )
-    for i in range(len(mf_proper)):
-        for j in range(i, len(mf_proper)):
-            report.pairs_checked += 1
-            product = multiply_expansions(mf_proper[i], mf_proper[j], engine)
-            if product.is_multiplicity_free():
-                report.mismatches.append(
-                    (
-                        proper_expansions[mf_proper[i]],
-                        proper_expansions[mf_proper[j]],
-                        "not-mf",
-                        "mf",
-                    )
-                )
-    # pairs with a non-mf factor are settled by the repeated-constituent
-    # argument above; count them so the sweep tally covers the full space
-    report.pairs_checked += (n_proper * (n_proper + 1)) // 2 - (
-        len(mf_proper) * (len(mf_proper) + 1)
-    ) // 2
-    report.mismatches.sort()
-    report.wall_time = time.monotonic() - start
-    return report
+def _engine_row(lam: Partition, mu: Partition) -> tuple[str, str, str, str] | None:
+    """None if Dvir and the oracle agree on [lam].[mu], else the labels that differ."""
+    left = kron_product(lam, mu, "dvir")
+    right = kron_product(lam, mu, "oracle")
+    if left == right:
+        return None
+    diff = {p for p in set(left.support()) | set(right.support()) if left[p] != right[p]}
+    labels = ",".join(map(str, sorted(diff, reverse=True)))
+    return (str(lam), str(mu), "dvir!=oracle", labels)
 
 
 def verify_engines(n: int) -> VerificationReport:
     """Dvir recursion against the character-table oracle, all pairs."""
-    start = time.monotonic()
     pairs = _unordered_pairs(enumerate_partitions(n))
-    report = VerificationReport(n, "engines", "dvir-vs-oracle", pairs_checked=len(pairs))
-    for lam, mu in pairs:
-        left = kron_product(lam, mu, "dvir")
-        right = kron_product(lam, mu, "oracle")
-        if left != right:
-            diff = {
-                p
-                for p in set(left.support()) | set(right.support())
-                if left[p] != right[p]
-            }
-            report.mismatches.append(
-                (
-                    format_partition(lam),
-                    format_partition(mu),
-                    "dvir!=oracle",
-                    ",".join(format_partition(p) for p in sorted(diff, reverse=True)),
-                )
-            )
-    report.mismatches.sort()
-    report.wall_time = time.monotonic() - start
-    return report
+    return _report(n, "engines", "dvir-vs-oracle", starmap(_engine_row, pairs))
 
 
 VERIFY_MODES = {

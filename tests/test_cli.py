@@ -405,6 +405,30 @@ def test_usage_error_in_a_fresh_interpreter():
     assert res.stderr.count("\n") == 1 and "error: " in res.stderr
 
 
+@pytest.mark.parametrize(
+    "operands",
+    [("1^1000000000000", "1"), ("1000000000", "1000000000")],
+    ids=["long", "wide"],
+)
+def test_huge_partition_is_one_line_exit_2(operands):
+    # the parser sizes a partition before it builds one, so neither a
+    # partition too long to list nor one too wide to conjugate is ever
+    # built; the address-space limit turns a regression into a
+    # MemoryError instead of exhausting the machine
+    import resource
+
+    limit = 1_500_000_000
+    res = subprocess.run(
+        [sys.executable, "-m", "kronmf", "classify", *operands],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only verify --jobs uses it, and importing it slows every start
     code = "import sys, kronmf.cli; print('concurrent.futures.process' in sys.modules)"

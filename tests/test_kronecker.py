@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kronmf import kronecker
+from kronmf import characters, kronecker
 from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import (
@@ -368,3 +368,48 @@ class TestVirtualExtension:
                         assert nu.n == n
                         assert kron_oracle(lam, mu, nu) == mult, (lam, mu, nu)
         assert hits > 50
+
+
+class TestEngineIndependence:
+    """The oracle never calls Dvir, and Dvir never touches a character table.
+
+    Each test empties the memos on both sides first, so every product is
+    computed while the other engine's kernels are replaced by a refusal.
+    """
+
+    @staticmethod
+    def _cold(monkeypatch, module, *names):
+        for memo in (characters._table, characters._packed, characters._product_oracle,
+                     kronecker._sweep, kronecker._band):
+            memo.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError(f"the other engine's kernel was called with {args}")
+
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+
+    @staticmethod
+    def _every_product(engine):
+        for n in range(1, 9):
+            parts = enumerate_partitions(n)
+            for i, lam in enumerate(parts):
+                for mu in parts[i:]:
+                    kron_product(lam, mu, engine)
+
+    def test_dvir_never_touches_a_table(self, monkeypatch):
+        from kronmf.verify import verify_pairs, verify_skew
+
+        self._cold(monkeypatch, characters, "_table")
+        self._every_product("dvir")
+        assert verify_pairs(8, engine="dvir").ok
+        assert verify_skew(5, engine="dvir").ok
+
+    def test_oracle_never_calls_dvir(self, monkeypatch):
+        from kronmf.verify import verify_pairs, verify_skew, verify_triples
+
+        self._cold(monkeypatch, kronecker, "_sweep", "_band")
+        self._every_product("oracle")
+        assert verify_pairs(8, engine="oracle").ok
+        assert verify_skew(5, engine="oracle").ok
+        assert verify_triples(6, engine="oracle").ok

@@ -5,6 +5,7 @@ from conftest import brute_syt_count
 from kronmf.expansion import CharacterExpansion
 from kronmf.partitions import (
     EMPTY,
+    MAX_PARSED_SIZE,
     Node,
     Partition,
     SkewShape,
@@ -330,6 +331,14 @@ class TestGrammar:
         for bad in ("2,3", "0", "a", "3^0", "-1", "3,,1"):
             with pytest.raises(ValueError):
                 parse_partition(bad)
+
+    def test_parse_sizes_before_expanding(self):
+        assert parse_partition("1000000").n == MAX_PARSED_SIZE
+        assert parse_partition("2^499999,1,1").n == MAX_PARSED_SIZE
+        # none of these is ever expanded: 10^12 parts, a 10^9-wide row
+        for big in ("1000001", "2^500000,1", "1^1000000000000", "1000000000", "5,4/1^10000000"):
+            with pytest.raises(ValueError, match="exceeds the bound"):
+                parse_skew(big)
 
     def test_format_examples(self):
         assert format_partition(P(4)) == "4"

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+import kronmf.verify as verify_mod
 from kronmf.cache import ProductCache
+from kronmf.cli import main
 from kronmf.expansion import CharacterExpansion
 from kronmf.partitions import Partition, enumerate_partitions
 from kronmf.verify import (
@@ -17,6 +20,38 @@ from kronmf.verify import (
 
 def P(*parts):
     return Partition(parts)
+
+
+def flipped(predicate):
+    """The predicate with every verdict negated, as a non-``MfVerdict``."""
+
+    def lying(*args):
+        v = predicate(*args)
+
+        class Flip:
+            def __bool__(self):
+                return not v
+
+        return Flip()
+
+    return lying
+
+
+def bump_dvir(kron_product):
+    """kron_product with one constituent of every Dvir product raised by 1."""
+
+    def bumped(lam, mu, engine="auto"):
+        exp = kron_product(lam, mu, engine)
+        if engine == "dvir":
+            exp = exp + CharacterExpansion.irreducible(max(exp.support()))
+        return exp
+
+    return bumped
+
+
+def always_mf(a, b, engine="auto"):
+    """A stand-in for multiply_expansions whose every product is mf."""
+    return CharacterExpansion.irreducible(P(a.degree))
 
 
 class TestProductCache:
@@ -92,23 +127,10 @@ class TestReports:
         text = report.to_text()
         assert text.splitlines()[0] == "verify mode=pairs n=4 engine=auto"
         assert text.splitlines()[-1] == "mismatches=0"
-        assert report.ok and report.wall_time >= 0
+        assert report.ok
 
     def test_mismatch_population_and_ordering(self, monkeypatch):
-        import kronmf.verify as verify_mod
-
-        real = verify_mod.is_mf_pair
-
-        def lying(lam, mu):
-            v = real(lam, mu)
-
-            class Flip:
-                def __bool__(self):
-                    return not v
-
-            return Flip()
-
-        monkeypatch.setattr(verify_mod, "is_mf_pair", lying)
+        monkeypatch.setattr(verify_mod, "is_mf_pair", flipped(verify_mod.is_mf_pair))
         report = verify_pairs(3)
         assert not report.ok
         assert len(report.mismatches) == report.pairs_checked == 6
@@ -118,11 +140,8 @@ class TestReports:
         assert len(blob["mismatches"]) == 6
 
     def test_cli_exit_1_on_mismatch(self, monkeypatch, capsys):
-        import kronmf.verify as verify_mod
-        from kronmf import cli
-
         monkeypatch.setattr(verify_mod, "is_mf_pair", lambda lam, mu: False)
-        code = cli.main(["verify", "2", "--mode", "pairs"])
+        code = main(["verify", "2", "--mode", "pairs"])
         out = capsys.readouterr()
         assert code == 1
         assert "mismatch:" in out.out
@@ -134,5 +153,74 @@ class TestReports:
         assert verify_pairs(3).pairs_checked == 6
         assert verify_triples(3).pairs_checked == 10
         assert verify_engines(3).pairs_checked == 6
-        assert verify_skew(2).pairs_checked > 0
+        assert [verify_skew(n).pairs_checked for n in range(1, 7)] == [2, 10, 51, 399, 3546, 35649]
+        assert [verify_triples(n).pairs_checked for n in range(1, 7)] == [1, 4, 10, 35, 84, 286]
+
+    # Each case makes one mode report mismatches: a flipped predicate, a
+    # Dvir product with one constituent raised, or a multiplicity-free
+    # stand-in for every expansion product (the skew sweep's
+    # skew-times-irreducible and proper-times-proper rows).  The rows,
+    # their order and both renderings were taken from the per-mode report
+    # loops that came before the shared one.
+    @pytest.mark.parametrize(
+        "mode, n, patches, rows, digest",
+        [
+            ("pairs", 5, {"is_mf_pair": flipped}, 28,
+             "a60220100ba241d8d27696e2bdb04271a37b05aefd42672f266ff91e24810bfc"),
+            ("triples", 4, {"is_mf_triple": flipped}, 35,
+             "0ab9b3d734f7d46c1f3e1434ede347c151b03d3d40cff8031fc7ad650873edbe"),
+            ("skew", 4, {"is_mf_skew": flipped, "is_mf_skew_times_irr": flipped}, 168,
+             "5995e04d9f31b5a63b25667da66bc47cc747e1d02dcd7f5e4ac8d726098c1db4"),
+            ("skew", 5, {"multiply_expansions": lambda real: always_mf}, 595,
+             "6f2c24dc34ca8e7015f7aaaf272413e4bbe97a733c8f86f57137379d9032452b"),
+            ("engines", 5, {"kron_product": bump_dvir}, 28,
+             "d8c3f561045c8a53a7a0b99829e27d4b4cda1b90f0bbfabe8a5bdf7b88c1c21e"),
+        ],
+        ids=["pairs", "triples", "skew-predicates", "skew-products", "engines"],
+    )
+    def test_mismatch_rows_frozen(self, monkeypatch, capsys, mode, n, patches, rows, digest):
+        for name, wrap in patches.items():
+            monkeypatch.setattr(verify_mod, name, wrap(getattr(verify_mod, name)))
+        h = hashlib.sha256()
+        for fmt in ("text", "json"):
+            assert main(["verify", str(n), "--mode", mode, "--format", fmt]) == 1
+            out = capsys.readouterr().out
+            h.update(out.encode())
+        assert len(json.loads(out)["mismatches"]) == rows
+        assert h.hexdigest() == digest
+
+    def test_skew_product_rows_text(self, monkeypatch):
+        # one small case in full: skew-times-irreducible rows, then the
+        # proper-times-proper rows labelled by the first shape of each
+        # character, all in one sorted list
+        monkeypatch.setattr(verify_mod, "multiply_expansions", always_mf)
+        assert verify_skew(3).to_text() == (
+            "verify mode=skew n=3 engine=auto\n"
+            "pairs_checked=51\n"
+            "mismatch: 2,1,1/1 | 2,1 predicted=not-mf computed=mf\n"
+            "mismatch: 2,2,1/1,1 | 2,1 predicted=not-mf computed=mf\n"
+            "mismatch: 2,2,1/1,1 | 2,2,1/1,1 predicted=not-mf computed=mf\n"
+            "mismatch: 2,2,1/1,1 | 3,2/2 predicted=not-mf computed=mf\n"
+            "mismatch: 3,1/1 | 2,1 predicted=not-mf computed=mf\n"
+            "mismatch: 3,2,1/2,1 | 1^3 predicted=not-mf computed=mf\n"
+            "mismatch: 3,2,1/2,1 | 2,1 predicted=not-mf computed=mf\n"
+            "mismatch: 3,2,1/2,1 | 3 predicted=not-mf computed=mf\n"
+            "mismatch: 3,2/2 | 2,1 predicted=not-mf computed=mf\n"
+            "mismatch: 3,2/2 | 3,2/2 predicted=not-mf computed=mf\n"
+            "mismatches=10"
+        )
+
+
+def test_verify_stdout_digest_frozen(capsys):
+    # stdout and exit code of every mode in both formats, up to pairs 9,
+    # triples 7, skew 6 and engines 7; taken from the per-mode report
+    # loops that came before the shared one, so any change to a report
+    # line, its order or an exit code changes the digest
+    h = hashlib.sha256()
+    for mode, top in (("pairs", 9), ("triples", 7), ("skew", 6), ("engines", 7)):
+        for n in range(1, top + 1):
+            for fmt in ("text", "json"):
+                code = main(["verify", str(n), "--mode", mode, "--format", fmt, "--force"])
+                h.update(f"{mode} {n} {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
+    assert h.hexdigest() == "55c43fa6c8fb312add5e89411c9690c7c5dedf6487ee8fae1852d38891213399"
 
