@@ -8,10 +8,12 @@ Character values come from the Murnaghan-Nakayama rule applied forward
 on a bead abacus (``_add_strips``): a column of the table is the Schur
 expansion of a power-sum product, built one part at a time, and the
 table builder shares the work of cycle types with a common prefix.  All
-values are exact Python integers.  Three kernels are memoised with
+values are exact Python integers.  Four kernels are memoised with
 ``functools.cache`` for the life of the process: ``_table`` (one table
 per degree), ``_packed`` (the same table packed by columns, built on the
-first product of a degree, never by ``character_table``) and
+first product of a degree, never by ``character_table``),
+``_class_weights`` (the class sizes and the class-weighted column sums,
+built on the first ``is_mf_class_function`` of a degree) and
 ``_product_oracle`` (one product per pair of shapes).  Single values
 from ``character_value`` are recomputed on each call.
 
@@ -323,6 +325,35 @@ def _product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
             g, rem = divmod(total, nfact)
             assert rem == 0 and g >= 0
             terms[nu] = g
-    out = CharacterExpansion(n, terms)
+    out = CharacterExpansion(n, terms, _trusted=True)
     assert out.total_dimension() == dimension(lam) * dimension(mu)
     return out
+
+
+@cache
+def _class_weights(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cs_rho, cs_rho * r(rho)) per class of degree n, in column order.
+
+    r(rho) = sum over nu of chi^nu(rho) is the column sum of the table.
+    """
+    t = _table(n)
+    return t.class_sizes, tuple(map(mul, t.class_sizes, map(sum, zip(*t.values))))
+
+
+def is_mf_class_function(n: int, values) -> bool:
+    """Is the genuine character with these values on the classes of
+    degree n (in the table's column order) multiplicity-free?
+
+    Soundness.  Write chi = sum of m_nu chi^nu.  By row orthogonality
+    <chi, chi> = sum of m_nu^2 and <chi, r> = sum of m_nu, where
+    <f, g> = (1/n!) sum over rho of cs_rho f(rho) g(rho) and r is the sum
+    of all irreducible characters.  So n! (<chi, chi> - <chi, r>) = n!
+    sum of m(m - 1), which for a genuine chi (every m >= 0) is >= 0, and 0
+    iff every m <= 1.  The test compares the two class sums exactly, with
+    no expansion and no division.  The callers pass genuine characters
+    only: an irreducible, a skew character (its Littlewood-Richardson
+    coefficients are >= 0), and pointwise products of these, which are
+    genuine because Kronecker coefficients are >= 0.
+    """
+    sizes, weighted = _class_weights(n)
+    return sum(map(mul, map(mul, sizes, values), values)) == sum(map(mul, weighted, values))

@@ -19,7 +19,7 @@ forms and their sign twists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .expansion import CharacterExpansion
 from .kronecker import kron_coefficient, kron_product
@@ -147,6 +147,16 @@ def _twist_tag(chi: CharacterExpansion, terms: dict[Partition, int]) -> tuple[st
     return None
 
 
+@lru_cache(maxsize=256)
+def _basic_form(s: SkewShape) -> tuple[SkewShape, Partition | None]:
+    """The basic form of s, and the partition that it or its rotation is.
+
+    Bounded: a sweep asks about one shape for every alpha in a row.
+    """
+    basic = _strip_to_basic(s)
+    return basic, _basic_as_partition(basic)
+
+
 def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     """Is [s].[alpha] multiplicity-free?  Clause tests compare expansions.
 
@@ -157,10 +167,9 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     """
     if s.size != alpha.n:
         raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {alpha.n}")
-    basic = _strip_to_basic(s)
+    basic, label = _basic_form(s)
     if basic.size == 0:
         return MfVerdict(True, "skew-irr-empty")
-    label = _basic_as_partition(basic)
     if label is not None:
         sub = is_mf_pair(label, alpha)
         if sub:

@@ -20,7 +20,12 @@ from .partitions import Partition, dimension, format_partition
 class CharacterExpansion:
     __slots__ = ("degree", "_terms")
 
-    def __init__(self, degree: int, terms: Mapping[Partition, int]):
+    def __init__(self, degree: int, terms: Mapping[Partition, int], *, _trusted: bool = False):
+        if _trusted:
+            # an engine's own product: a dict of nonzero terms, handed over,
+            # whose labels the engine drew from the partitions of degree
+            self.degree, self._terms = degree, terms
+            return
         for p in terms:
             if not isinstance(p, Partition):
                 raise TypeError(f"term label {p!r} is not a Partition")

@@ -187,7 +187,7 @@ def kron_product(lam: Partition, mu: Partition, engine: str = "auto") -> Charact
     eng = _resolve_engine(engine, lam.n)
     if eng == "oracle":
         return kron_product_oracle(lam, mu)
-    return CharacterExpansion(lam.n, _dvir_product(lam, mu))
+    return CharacterExpansion(lam.n, dict(_dvir_product(lam, mu)), _trusted=True)
 
 
 def g_max(lam: Partition, mu: Partition, engine: str = "auto") -> int:

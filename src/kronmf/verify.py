@@ -6,7 +6,14 @@ at one degree.  A sweep yields one row per check: None for a pass, or
 the mismatch tuple, whose labels are rendered only then.  One loop,
 ``_report``, counts the rows and sorts the mismatches, so every mode
 returns a deterministic report the same way.  The sweeps keep no clock;
-the CLI times a whole run.  Pair sweeps can run on a process pool; the
+the CLI times a whole run.
+
+Under the oracle the triple and skew sweeps expand no product: a
+character is its list of values on the classes (a table row, or one sum
+of rows per skew shape), a product is pointwise, and
+``characters.is_mf_class_function`` decides multiplicity-freeness from
+two class sums.  The pair and engine sweeps, and every sweep under Dvir,
+compute full products.  Pair sweeps can run on a process pool; the
 pair space is partitioned by hash of the canonical key and results are
 sorted after aggregation, so reports are identical under any schedule.
 """
@@ -15,12 +22,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat, starmap
+from operator import add, mul
 
 from .cache import ProductCache
+from .characters import character_table, is_mf_class_function
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
 from .expansion import CharacterExpansion
-from .kronecker import kron_product, multiply_expansions
+from .kronecker import _resolve_engine, kron_product, multiply_expansions
 from .littlewood_richardson import is_mf_skew, skew_expand
 from .partitions import (
     Partition,
@@ -167,42 +177,76 @@ def verify_pairs(
     return _report(n, "pairs", engine, rows)
 
 
-def _triple_rows(parts: list[Partition], engine: str):
+def _character_ring(n: int, engine: str):
+    """How a sweep at degree n holds characters, multiplies them and tests
+    a product: (lift, times, mf).
+
+    Under the oracle a character is its list of values on the classes:
+    ``lift`` sums table rows once per character, a product is pointwise,
+    and ``is_mf_class_function`` decides multiplicity-freeness from two
+    class sums, so no product is expanded.  Under Dvir a character stays
+    a ``CharacterExpansion`` and products go through
+    ``multiply_expansions``, which never touches a table.
+    """
+    if _resolve_engine(engine, n) != "oracle":
+        return (
+            lambda chi: chi,
+            partial(multiply_expansions, engine=engine),
+            CharacterExpansion.is_multiplicity_free,
+        )
+    table = character_table(n)
+
+    def lift(chi: CharacterExpansion) -> list[int]:
+        values = [0] * len(table.cols)
+        for p, m in chi.items():
+            values = list(map(add, values, map(m.__mul__, table.row(p))))
+        return values
+
+    return lift, lambda a, b: list(map(mul, a, b)), partial(is_mf_class_function, n)
+
+
+def _triple_rows(n: int, engine: str):
+    parts = enumerate_partitions(n)
+    lift, times, mf = _character_ring(n, engine)
+    irr = [lift(CharacterExpansion.irreducible(p)) for p in parts]
     for i, lam in enumerate(parts):
         for j, mu in enumerate(parts[i:], start=i):
-            left = kron_product(lam, mu, engine)
-            for nu in parts[j:]:
-                triple = multiply_expansions(left, CharacterExpansion.irreducible(nu), engine)
-                yield _mf_row(is_mf_triple(lam, mu, nu), triple.is_multiplicity_free(), lam, mu, nu)
+            left = times(irr[i], irr[j])
+            for k, nu in enumerate(parts[j:], start=j):
+                yield _mf_row(is_mf_triple(lam, mu, nu), mf(times(left, irr[k])), lam, mu, nu)
 
 
 def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
     """Triple products: predicate vs computed multiplicity, all triples."""
-    return _report(n, "triples", engine, _triple_rows(enumerate_partitions(n), engine))
+    return _report(n, "triples", engine, _triple_rows(n, engine))
 
 
 def _skew_rows(n: int, engine: str):
     alphas = enumerate_partitions(n)
-    proper: dict[CharacterExpansion, SkewShape] = {}
+    lift, times, mf = _character_ring(n, engine)
+    irr = [lift(CharacterExpansion.irreducible(alpha)) for alpha in alphas]
+    # a proper character's first shape and its lifted form
+    proper: dict[CharacterExpansion, tuple[SkewShape, object]] = {}
     n_proper = 0
     for s in enumerate_basic_skew_shapes(n):
         chi = skew_expand(s)
         yield _mf_row(is_mf_skew(s), chi.is_multiplicity_free(), s, "-")
+        lifted = lift(chi)
         if is_proper_skew(s):
             n_proper += 1
-            proper.setdefault(chi, s)
-        for alpha in alphas:
-            product = multiply_expansions(chi, CharacterExpansion.irreducible(alpha), engine)
-            yield _mf_row(is_mf_skew_times_irr(s, alpha), product.is_multiplicity_free(), s, alpha)
+            proper.setdefault(chi, (s, lifted))
+        for alpha, a in zip(alphas, irr):
+            yield _mf_row(is_mf_skew_times_irr(s, alpha), mf(times(lifted, a)), s, alpha)
 
     mf_proper = sorted(
         (chi for chi in proper if chi.is_multiplicity_free()),
         key=lambda c: sorted(c.terms().items(), reverse=True),
     )
     for i, a in enumerate(mf_proper):
+        s, x = proper[a]
         for b in mf_proper[i:]:
-            product = multiply_expansions(a, b, engine)
-            yield _mf_row(False, product.is_multiplicity_free(), proper[a], proper[b])
+            t, y = proper[b]
+            yield _mf_row(False, mf(times(x, y)), s, t)
     # pairs with a non-mf factor are settled by the repeated-constituent
     # argument; one passing row each keeps the tally over the full space
     k = len(mf_proper)

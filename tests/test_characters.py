@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 
@@ -12,11 +13,21 @@ from kronmf.characters import (
     character_table,
     character_value,
     class_size,
+    is_mf_class_function,
     kron_oracle,
     kron_product_oracle,
 )
 from kronmf.expansion import CharacterExpansion
-from kronmf.partitions import Partition, conjugate, dimension, enumerate_partitions
+from kronmf.kronecker import multiply_expansions
+from kronmf.littlewood_richardson import skew_expand
+from kronmf.partitions import (
+    Partition,
+    conjugate,
+    dimension,
+    enumerate_basic_skew_shapes,
+    enumerate_partitions,
+    is_proper_skew,
+)
 
 
 def P(*parts):
@@ -262,6 +273,61 @@ class TestPackedProduct:
             bound = factorial(n) * max(dimension(p) for p in enumerate_partitions(n))
             assert 8 * slot >= bound.bit_length() + 2, n
             assert len(columns) == len(enumerate_partitions(n))
+
+
+class TestClassSumVerdict:
+    """is_mf_class_function against the expanded product's own test."""
+
+    # OEIS A000085: the number of involutions of S_n, n = 1..16
+    INVOLUTIONS = (1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152,
+                   568504, 2390480, 10349536, 46206736)
+
+    @staticmethod
+    def values(chi):
+        """chi's values on the classes, summed from the table's rows."""
+        t = character_table(chi.degree)
+        return [sum(m * t.value(p, rho) for p, m in chi.items()) for rho in t.cols]
+
+    def assert_verdict(self, *factors):
+        product = factors[0]
+        for f in factors[1:]:
+            product = multiply_expansions(product, f, "oracle")
+        pointwise = [math.prod(col) for col in zip(*map(self.values, factors))]
+        got = is_mf_class_function(product.degree, pointwise)
+        assert got == product.is_multiplicity_free(), factors
+
+    def test_identity_class_counts_involutions(self):
+        # Frobenius-Schur: every character of S_n is real with indicator
+        # +1, so the column sum at an element counts its square roots
+        for n, count in enumerate(self.INVOLUTIONS, start=1):
+            sizes, weighted = characters._class_weights(n)
+            assert characters._table(n).cols[-1] == P(*([1] * n))
+            assert sizes[-1] == 1 and weighted[-1] == count, n
+
+    def test_every_pair_up_to_10(self):
+        for n in range(1, 11):
+            irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
+            for i, a in enumerate(irr):
+                for b in irr[i:]:
+                    self.assert_verdict(a, b)
+
+    def test_every_triple_up_to_7(self):
+        for n in range(1, 8):
+            irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
+            for a, b, c in itertools.combinations_with_replacement(irr, 3):
+                self.assert_verdict(a, b, c)
+
+    def test_every_skew_case_up_to_6(self):
+        for n in range(1, 7):
+            irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
+            shapes = enumerate_basic_skew_shapes(n)
+            for s in shapes:
+                for a in irr:
+                    self.assert_verdict(skew_expand(s), a)
+            proper = list({skew_expand(s): None for s in shapes if is_proper_skew(s)})
+            for i, a in enumerate(proper):
+                for b in proper[i:]:
+                    self.assert_verdict(a, b)
 
 
 class TestConcurrency:

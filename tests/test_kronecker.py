@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kronmf import characters, kronecker
+from kronmf import characters, classification, kronecker
 from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import (
@@ -196,6 +196,17 @@ class TestKronProduct:
                     got = kron_product(lam, P(n), engine)
                     assert got == CharacterExpansion.irreducible(lam)
 
+    def test_engine_products_pass_the_public_checks(self):
+        # both engines build their products without the constructor's
+        # label checks; every product must still pass them
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                for mu in enumerate_partitions(n):
+                    for engine in ("oracle", "dvir"):
+                        got = kron_product(lam, mu, engine)
+                        assert all(type(p) is Partition and m > 0 for p, m in got.items())
+                        assert got == CharacterExpansion(n, got.terms())
+
     def test_staircase_square_spot(self):
         got = kron_product(P(3, 2), P(3, 2))
         assert len(got) == 6 and all(len(p) <= 4 for p in got.support())
@@ -380,6 +391,7 @@ class TestEngineIndependence:
     @staticmethod
     def _cold(monkeypatch, module, *names):
         for memo in (characters._table, characters._packed, characters._product_oracle,
+                     characters._class_weights, classification._basic_form,
                      kronecker._sweep, kronecker._band):
             memo.cache_clear()
 
@@ -398,12 +410,13 @@ class TestEngineIndependence:
                     kron_product(lam, mu, engine)
 
     def test_dvir_never_touches_a_table(self, monkeypatch):
-        from kronmf.verify import verify_pairs, verify_skew
+        from kronmf.verify import verify_pairs, verify_skew, verify_triples
 
         self._cold(monkeypatch, characters, "_table")
         self._every_product("dvir")
         assert verify_pairs(8, engine="dvir").ok
         assert verify_skew(5, engine="dvir").ok
+        assert verify_triples(6, engine="dvir").ok
 
     def test_oracle_never_calls_dvir(self, monkeypatch):
         from kronmf.verify import verify_pairs, verify_skew, verify_triples

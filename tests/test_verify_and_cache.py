@@ -1,13 +1,18 @@
 import hashlib
 import json
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
 import kronmf.verify as verify_mod
 from kronmf.cache import ProductCache
+from kronmf.characters import character_table
 from kronmf.cli import main
 from kronmf.expansion import CharacterExpansion
-from kronmf.partitions import Partition, enumerate_partitions
+from kronmf.kronecker import multiply_expansions
+from kronmf.littlewood_richardson import skew_expand
+from kronmf.partitions import Partition, enumerate_basic_skew_shapes, enumerate_partitions, is_proper_skew
 from kronmf.verify import (
     DEFAULT_CEILINGS,
     VerificationReport,
@@ -52,6 +57,11 @@ def bump_dvir(kron_product):
 def always_mf(a, b, engine="auto"):
     """A stand-in for multiply_expansions whose every product is mf."""
     return CharacterExpansion.irreducible(P(a.degree))
+
+
+def always_mf_values(n, values):
+    """A stand-in for is_mf_class_function that calls every product mf."""
+    return True
 
 
 class TestProductCache:
@@ -158,10 +168,11 @@ class TestReports:
 
     # Each case makes one mode report mismatches: a flipped predicate, a
     # Dvir product with one constituent raised, or a multiplicity-free
-    # stand-in for every expansion product (the skew sweep's
-    # skew-times-irreducible and proper-times-proper rows).  The rows,
-    # their order and both renderings were taken from the per-mode report
-    # loops that came before the shared one.
+    # verdict on every product (the skew sweep's skew-times-irreducible
+    # and proper-times-proper rows, which the oracle decides from class
+    # sums).  The rows, their order and both renderings were taken from
+    # the per-mode report loops that came before the shared one, when the
+    # skew-products case replaced every expansion product instead.
     @pytest.mark.parametrize(
         "mode, n, patches, rows, digest",
         [
@@ -171,7 +182,7 @@ class TestReports:
              "0ab9b3d734f7d46c1f3e1434ede347c151b03d3d40cff8031fc7ad650873edbe"),
             ("skew", 4, {"is_mf_skew": flipped, "is_mf_skew_times_irr": flipped}, 168,
              "5995e04d9f31b5a63b25667da66bc47cc747e1d02dcd7f5e4ac8d726098c1db4"),
-            ("skew", 5, {"multiply_expansions": lambda real: always_mf}, 595,
+            ("skew", 5, {"is_mf_class_function": lambda real: always_mf_values}, 595,
              "6f2c24dc34ca8e7015f7aaaf272413e4bbe97a733c8f86f57137379d9032452b"),
             ("engines", 5, {"kron_product": bump_dvir}, 28,
              "d8c3f561045c8a53a7a0b99829e27d4b4cda1b90f0bbfabe8a5bdf7b88c1c21e"),
@@ -189,26 +200,70 @@ class TestReports:
         assert len(json.loads(out)["mismatches"]) == rows
         assert h.hexdigest() == digest
 
+    # one small case in full: skew-times-irreducible rows, then the
+    # proper-times-proper rows labelled by the first shape of each
+    # character, all in one sorted list
+    SKEW_3_PRODUCT_ROWS = (
+        "pairs_checked=51\n"
+        "mismatch: 2,1,1/1 | 2,1 predicted=not-mf computed=mf\n"
+        "mismatch: 2,2,1/1,1 | 2,1 predicted=not-mf computed=mf\n"
+        "mismatch: 2,2,1/1,1 | 2,2,1/1,1 predicted=not-mf computed=mf\n"
+        "mismatch: 2,2,1/1,1 | 3,2/2 predicted=not-mf computed=mf\n"
+        "mismatch: 3,1/1 | 2,1 predicted=not-mf computed=mf\n"
+        "mismatch: 3,2,1/2,1 | 1^3 predicted=not-mf computed=mf\n"
+        "mismatch: 3,2,1/2,1 | 2,1 predicted=not-mf computed=mf\n"
+        "mismatch: 3,2,1/2,1 | 3 predicted=not-mf computed=mf\n"
+        "mismatch: 3,2/2 | 2,1 predicted=not-mf computed=mf\n"
+        "mismatch: 3,2/2 | 3,2/2 predicted=not-mf computed=mf\n"
+        "mismatches=10"
+    )
+
     def test_skew_product_rows_text(self, monkeypatch):
-        # one small case in full: skew-times-irreducible rows, then the
-        # proper-times-proper rows labelled by the first shape of each
-        # character, all in one sorted list
-        monkeypatch.setattr(verify_mod, "multiply_expansions", always_mf)
+        # the oracle decides each product from class sums
+        monkeypatch.setattr(verify_mod, "is_mf_class_function", always_mf_values)
         assert verify_skew(3).to_text() == (
-            "verify mode=skew n=3 engine=auto\n"
-            "pairs_checked=51\n"
-            "mismatch: 2,1,1/1 | 2,1 predicted=not-mf computed=mf\n"
-            "mismatch: 2,2,1/1,1 | 2,1 predicted=not-mf computed=mf\n"
-            "mismatch: 2,2,1/1,1 | 2,2,1/1,1 predicted=not-mf computed=mf\n"
-            "mismatch: 2,2,1/1,1 | 3,2/2 predicted=not-mf computed=mf\n"
-            "mismatch: 3,1/1 | 2,1 predicted=not-mf computed=mf\n"
-            "mismatch: 3,2,1/2,1 | 1^3 predicted=not-mf computed=mf\n"
-            "mismatch: 3,2,1/2,1 | 2,1 predicted=not-mf computed=mf\n"
-            "mismatch: 3,2,1/2,1 | 3 predicted=not-mf computed=mf\n"
-            "mismatch: 3,2/2 | 2,1 predicted=not-mf computed=mf\n"
-            "mismatch: 3,2/2 | 3,2/2 predicted=not-mf computed=mf\n"
-            "mismatches=10"
+            "verify mode=skew n=3 engine=auto\n" + self.SKEW_3_PRODUCT_ROWS
         )
+
+    def test_skew_product_rows_text_under_dvir(self, monkeypatch):
+        # Dvir expands each product
+        monkeypatch.setattr(verify_mod, "multiply_expansions", always_mf)
+        assert verify_skew(3, engine="dvir").to_text() == (
+            "verify mode=skew n=3 engine=dvir\n" + self.SKEW_3_PRODUCT_ROWS
+        )
+
+    def test_oracle_sweeps_test_the_expanded_products(self, monkeypatch):
+        # the class functions that the oracle sweeps hand to the class-sum
+        # test are exactly those of the products the sweeps stand for,
+        # each expanded here by multiply_expansions
+        asked = []
+        monkeypatch.setattr(
+            verify_mod, "is_mf_class_function", lambda n, values: asked.append(tuple(values))
+        )
+
+        def values(chi):
+            t = character_table(chi.degree)
+            return tuple(sum(m * t.value(p, rho) for p, m in chi.items()) for rho in t.cols)
+
+        def product(*factors):
+            out = factors[0]
+            for f in factors[1:]:
+                out = multiply_expansions(out, f, "oracle")
+            return values(out)
+
+        n = 5
+        irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
+        shapes = enumerate_basic_skew_shapes(n)
+        proper = list({skew_expand(s): None for s in shapes if is_proper_skew(s)})
+        mf_proper = [chi for chi in proper if chi.is_multiplicity_free()]
+        expected = [product(skew_expand(s), a) for s in shapes for a in irr]
+        expected += [product(a, b) for a, b in combinations_with_replacement(mf_proper, 2)]
+        verify_skew(n)
+        assert Counter(asked) == Counter(expected)
+
+        asked.clear()
+        verify_triples(n)
+        assert Counter(asked) == Counter(product(*t) for t in combinations_with_replacement(irr, 3))
 
 
 def test_verify_stdout_digest_frozen(capsys):
@@ -223,4 +278,15 @@ def test_verify_stdout_digest_frozen(capsys):
                 code = main(["verify", str(n), "--mode", mode, "--format", fmt, "--force"])
                 h.update(f"{mode} {n} {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
     assert h.hexdigest() == "55c43fa6c8fb312add5e89411c9690c7c5dedf6487ee8fae1852d38891213399"
+
+
+def test_verify_stdout_digest_frozen_at_the_ceilings(capsys):
+    # the skew sweep at its ceiling and the triple sweep one above it,
+    # both formats; taken from the sweeps that expanded every product
+    h = hashlib.sha256()
+    for mode, n in (("skew", 7), ("triples", 8)):
+        for fmt in ("text", "json"):
+            code = main(["verify", str(n), "--mode", mode, "--format", fmt, "--force"])
+            h.update(f"{mode} {n} {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
+    assert h.hexdigest() == "3927414b7200fa17cca627bba7f978c73e37a55cdec5b6f4ce00e751563cea63"
 
