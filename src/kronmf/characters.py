@@ -8,14 +8,14 @@ Character values come from the Murnaghan-Nakayama rule applied forward
 on a bead abacus (``_add_strips``): a column of the table is the Schur
 expansion of a power-sum product, built one part at a time, and the
 table builder shares the work of cycle types with a common prefix.  All
-values are exact Python integers.  Four kernels are memoised with
-``functools.cache`` for the life of the process: ``_table`` (one table
-per degree), ``_packed`` (the same table packed by columns, built on the
-first product of a degree, never by ``character_table``),
-``_class_weights`` (the class sizes and the class-weighted column sums,
-built on the first ``is_mf_class_function`` of a degree) and
-``_product_oracle`` (one product per pair of shapes).  Single values
-from ``character_value`` are recomputed on each call.
+values are exact Python integers.  Three kernels are memoised with
+``functools.cache`` for the life of the process, one entry per degree:
+``_table`` (one table), ``_packed`` (the same table packed by columns,
+built on the first product of a degree, never by ``character_table``)
+and ``_class_weights`` (the class sizes and the class-weighted column
+sums, built on the first ``is_mf_class_function`` of a degree).
+Products from ``kron_product_oracle`` and single values from
+``character_value`` are recomputed on each call.
 
 A product [lam].[mu] is one Kronecker substitution (D. Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J.
@@ -42,7 +42,7 @@ from math import factorial
 from operator import mul
 
 from .expansion import CharacterExpansion
-from .partitions import Partition, canonical_pair, dimension, enumerate_partitions, format_partition
+from .partitions import Partition, dimension, enumerate_partitions, format_partition
 
 DEFAULT_TABLE_CEILING = 14
 _CEILING_ENV = "KRONMF_TABLE_CEILING"
@@ -258,13 +258,6 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     return g
 
 
-def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
-    """Full Kronecker product expansion via the character table."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
-    return _product_oracle(*canonical_pair(lam, mu))
-
-
 @cache
 def _packed(n: int) -> tuple[int, tuple[int, ...]]:
     """The degree-n table packed by columns: (slot bytes, P_rho per column).
@@ -310,8 +303,10 @@ def _packed(n: int) -> tuple[int, tuple[int, ...]]:
     return 8 * words, tuple(columns)
 
 
-@cache
-def _product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
+def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
+    """Full Kronecker product expansion via the character table."""
+    if lam.n != mu.n:
+        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     n = lam.n
     t = character_table(n)
     slot, columns = _packed(n)

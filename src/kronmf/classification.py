@@ -3,32 +3,32 @@
 Predicates for pairs, triples and skew-times-irreducible products, and
 the explicit expansions for every family on the classification list:
 products with the natural character, staircase and two-row squares,
-two-row times hook via the four-indicator formula, and the small-depth
-rectangle products.  Clause matching always normalizes by conjugation
-and reports the first clause that fires, in classification order, so
-verdict provenance is reproducible.
+two-row times hook (four indicators for double hooks, a proved hook
+rule for hooks), and the small-depth rectangle and [n-3,3].[k,k]
+products.  No closed form calls an engine: the module rests only on
+partitions, Littlewood-Richardson expansions and ``CharacterExpansion``,
+so both engines can be checked against it.  Clause matching always
+normalizes by conjugation and reports the first clause that fires, in
+classification order, so verdict provenance is reproducible.
 
 Each predicate states every clause once and derives each fact about an
 operand once per call: the pair predicate builds its clause constants
-once per degree, and the skew predicate takes the basic shape
-once, defers to the pair predicate when that shape or its rotation is
-a partition, and otherwise compares one skew expansion with the closed
-forms and their sign twists.
+once per degree, and the skew predicate reads the basic shape and its
+partition label from ``skew_normalize``, defers to the pair predicate
+when there is a label, and otherwise compares one skew expansion with
+the closed forms and their sign twists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 from .expansion import CharacterExpansion
-from .kronecker import kron_coefficient, kron_product
 from .littlewood_richardson import skew_expand
 from .partitions import (
     Partition,
     SkewShape,
-    _basic_as_partition,
-    _strip_to_basic,
     add_node,
     addable_nodes,
     conjugate,
@@ -41,6 +41,7 @@ from .partitions import (
     is_rectangle,
     remove_node,
     removable_nodes,
+    skew_normalize,
 )
 from .verdict import MF_NO, MfVerdict
 
@@ -147,16 +148,6 @@ def _twist_tag(chi: CharacterExpansion, terms: dict[Partition, int]) -> tuple[st
     return None
 
 
-@lru_cache(maxsize=256)
-def _basic_form(s: SkewShape) -> tuple[SkewShape, Partition | None]:
-    """The basic form of s, and the partition that it or its rotation is.
-
-    Bounded: a sweep asks about one shape for every alpha in a row.
-    """
-    basic = _strip_to_basic(s)
-    return basic, _basic_as_partition(basic)
-
-
 def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     """Is [s].[alpha] multiplicity-free?  Clause tests compare expansions.
 
@@ -167,11 +158,12 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     """
     if s.size != alpha.n:
         raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {alpha.n}")
-    basic, label = _basic_form(s)
+    norm = skew_normalize(s)
+    basic = norm.basic
     if basic.size == 0:
         return MfVerdict(True, "skew-irr-empty")
-    if label is not None:
-        sub = is_mf_pair(label, alpha)
+    if norm.label is not None:
+        sub = is_mf_pair(norm.label, alpha)
         if sub:
             return MfVerdict(True, f"skew-irr-reduced:{sub.clause}", sub.normalization)
         return MF_NO
@@ -254,13 +246,32 @@ def kk_times_near(k: int) -> CharacterExpansion:
     return CharacterExpansion(n, terms)
 
 
-def kk_times_hook_mult(k: int, b: int, nu: Partition, engine: str = "auto") -> int:
+def kk_times_hook_mult(k: int, b: int, nu: Partition) -> int:
     """Multiplicity of [nu] in [k,k].[n-b,1^b], n = 2k.
 
-    Double hooks go through the four-indicator formula; hook-shaped nu
-    falls back to the engine (the source formula for hooks is not
-    reproduced here); Durfee length three or more never contributes.
-    The result is asserted to be 0 or 1.
+    Durfee length three or more never contributes, and double hooks go
+    through the four-indicator formula, whose result is checked to be 0
+    or 1.  A hook nu = (n-c,1^c) follows the hook rule: for k >= 2 the
+    multiplicity is 1 iff b and c both lie in {k-1, k}, else 0; for
+    k = 1, [1,1] is the sign character and it is 1 iff b + c = 1.
+
+    Proof of the hook rule for k >= 2.  Let H_b = [n-b,1^b], H_{-1} = 0.
+    The exterior power L^b(C^n) = Ind_{S_b x S_{n-b}}(sgn x 1) has
+    character E_b = H_b + H_{b-1}, L^b of the standard module being
+    irreducible (Fulton and Harris, Representation Theory, Prop. 3.12).
+    [k,k].E_b = Ind(Res [k,k] . (sgn x 1)) has Frobenius image
+    sum c^{(k,k)}_{alpha,beta} s_{alpha'} s_beta over alpha |- b,
+    beta |- n-b.  A hook constituent needs alpha' and beta to be hooks;
+    inside (k,k) they have at most two rows, so alpha is (b) or (b-1,1)
+    and beta is (n-b) or (n-b-1,1).  (k,k)/alpha turned by 180 degrees
+    is the diagram of (k-alpha_2, k-alpha_1), so c^{(k,k)}_{alpha,beta}
+    = 1 iff beta is that partition.  This leaves ((k),(k)) and
+    ((k-1,1),(k-1,1)) at b = k, ((k-1),(k,1)) at b = k-1 and
+    ((k,1),(k-1)) at b = k+1, and by Pieri each s_{alpha'} s_beta has
+    hook part H_{k-1} + H_k.  So [k,k].E_b has hook part m_b (H_{k-1} +
+    H_k), m_b = 1, 2, 1 at b = k-1, k, k+1 and 0 elsewhere.  Peeling
+    E_b = H_b + H_{b-1} off from b = 0 up, [k,k].H_b has hook part
+    H_{k-1} + H_k at b = k-1 and b = k (2 - 1), and 0 elsewhere.
     """
     n = 2 * k
     if k < 1 or not (0 <= b <= n - 1):
@@ -270,21 +281,15 @@ def kk_times_hook_mult(k: int, b: int, nu: Partition, engine: str = "auto") -> i
     if durfee_length(nu) >= 3:
         return 0
     if is_hook(nu):
-        hook = Partition((n - b,) + (1,) * b)
-        g = kron_coefficient(Partition((k, k)), hook, nu, engine)
-        if g not in (0, 1):
-            raise RuntimeError(f"hook constituent multiplicity {g} > 1 at {nu}")
-        return g
+        c = len(nu) - 1
+        return int(b + c == 1) if k == 1 else int({b, c} <= {k - 1, k})
 
-    a1, a2 = nu[0], nu[1]
-    b2 = sum(1 for part in nu[2:] if part == 2)
-    b1 = sum(1 for part in nu[2:] if part == 1)
-    if a1 - a2 > b1:
-        nu = conjugate(nu)
-        b = n - 1 - b
-        a1, a2 = nu[0], nu[1]
-        b2 = sum(1 for part in nu[2:] if part == 2)
-        b1 = sum(1 for part in nu[2:] if part == 1)
+    # a double hook: read it, or its conjugate against the conjugate hook
+    for nu, b in ((nu, b), (conjugate(nu), n - 1 - b)):
+        a1, a2, *rest = nu
+        b2, b1 = rest.count(2), rest.count(1)
+        if a1 - a2 <= b1:
+            break
     assert a1 - a2 <= b1
 
     x1 = int(a2 <= k - b2 - 1 <= a1 and b1 + 2 * b2 < b < b1 + 2 * b2 + 3)
@@ -359,15 +364,16 @@ def small_depth_products(
     a: int | None = None,
     b: int | None = None,
     k: int | None = None,
-    engine: str = "auto",
 ) -> CharacterExpansion:
     """Closed-form products of a rectangle or [k,k] with a depth-2/3 label.
 
     kinds: ``rect-times-n22`` ([n-2,2].[a^b], a,b>1, ab>=6),
     ``rect-times-n212`` ([n-2,1^2].[a^b], a>=b>1), and
-    ``kk-times-n33`` ([n-3,3].[k,k], closed form for 2k>16, engine
-    product for 6<=2k<=16 where only the exceptional partners are
-    multiplicity-free).
+    ``kk-times-n33`` ([n-3,3].[k,k], k>=3).  At k = 3 that product is
+    ``kk_square(3)``, as (3,3) = (k,k), and at k = 4 it is
+    ``kk_times_near(4)``, as (5,3) = (k+1,k-1); from k = 5 it has the
+    eleven terms of ``_kk_n33_terms`` (checked against the oracle up to
+    k = 7 and against Dvir up to k = 15).
     """
     if kind == "rect-times-n22":
         if a is None or b is None or a <= 1 or b <= 1 or a * b < 6:
@@ -380,13 +386,14 @@ def small_depth_products(
         raw = _rect_n212_terms(a, b)
         degree = a * b
     elif kind == "kk-times-n33":
-        if k is None or 2 * k < 6:
-            raise ValueError("requires k with 2k >= 6")
-        n = 2 * k
-        if n <= 16:
-            return kron_product(Partition((n - 3, 3)), Partition((k, k)), engine)
+        if k is None or k < 3:
+            raise ValueError("requires k >= 3")
+        if k == 3:
+            return kk_square(3)
+        if k == 4:
+            return kk_times_near(4)
         raw = _kk_n33_terms(k)
-        degree = n
+        degree = 2 * k
     else:
         raise ValueError(f"unknown kind {kind!r}")
 

@@ -17,7 +17,6 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
-    _basic_as_partition,
     is_fat_hook,
     is_linear,
     is_near_rectangle,
@@ -209,14 +208,14 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
     basic = norm.basic
     if basic.size == 0:
         return MfVerdict(True, "skew-empty")
-    if basic.inner == EMPTY or norm.rotated_equal:
+    if norm.label is not None:
         return MfVerdict(True, "skew-irreducible")
 
     comps = norm.components
     if len(comps) > 2:
         return MF_NO
     if len(comps) == 2:
-        parts = [_basic_as_partition(c) for c in comps]
+        parts = [skew_normalize(c).label for c in comps]
         if any(p is None for p in parts):
             return MF_NO
         sub = is_mf_outer(parts[0], parts[1])

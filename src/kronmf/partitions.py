@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -370,9 +370,13 @@ class SkewShape:
 
 @dataclass(frozen=True)
 class SkewNormalForm:
+    """``label`` is the partition that the basic shape or its rotation
+    is, or None; the empty shape is the empty partition."""
+
     basic: SkewShape
     components: tuple[SkewShape, ...]
     rotated_equal: bool
+    label: Partition | None
 
 
 def _strip_to_basic(s: SkewShape) -> SkewShape:
@@ -405,6 +409,8 @@ def _components(s: SkewShape) -> list[SkewShape]:
 
     Consecutive nonempty rows belong to one component iff their column
     ranges share a column; touching only at a corner does not connect.
+    So a component's columns are one interval, and shifting its last
+    row's inner part away makes it basic.
     """
     spans = s.row_spans()
     comps: list[SkewShape] = []
@@ -421,38 +427,28 @@ def _components(s: SkewShape) -> list[SkewShape]:
                 break
             end += 1
         block = spans[start:end + 1]
-        sub = SkewShape(Partition(b for a, b in block), Partition(a for a, b in block))
-        comps.append(_strip_to_basic(sub))
+        shift = block[-1][0]
+        comps.append(SkewShape(Partition(b - shift for a, b in block), Partition(a - shift for a, b in block)))
         start = end + 1
     return comps
 
 
+@lru_cache(maxsize=256)
 def skew_normalize(s: SkewShape) -> SkewNormalForm:
-    """Basic form, connected components, and whether the rotation is a partition."""
-    basic = _strip_to_basic(s)
-    comps = tuple(_components(basic))
-    if basic.size == 0:
-        rotated_equal = True
-    else:
-        rotated_equal = rotate_skew(basic).inner == EMPTY
-    return SkewNormalForm(basic, comps, rotated_equal)
+    """The one normal form of a skew shape; every caller reads it here.
 
-
-def _basic_as_partition(basic: SkewShape) -> Partition | None:
-    """The partition whose diagram is the basic shape or its 180° rotation.
-
-    None when neither is a partition diagram.  The empty shape is the
-    empty partition.
+    Bounded: a sweep asks about one shape for every alpha in a row.
     """
-    if basic.inner == EMPTY:
-        return basic.outer
-    rot = rotate_skew(basic)
-    return rot.outer if rot.inner == EMPTY else None
+    basic = _strip_to_basic(s)
+    rotated = rotate_skew(basic)
+    rotated_equal = rotated.inner == EMPTY
+    label = basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
+    return SkewNormalForm(basic, tuple(_components(basic)), rotated_equal, label)
 
 
 def is_proper_skew(s: SkewShape) -> bool:
     """True iff neither the basic shape nor its rotation is a partition diagram."""
-    return _basic_as_partition(_strip_to_basic(s)) is None
+    return skew_normalize(s).label is None
 
 
 def enumerate_basic_skew_shapes(size: int) -> list[SkewShape]:

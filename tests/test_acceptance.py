@@ -170,7 +170,7 @@ def test_acceptance_5_hook_indicator_formula():
         for b in range(n):
             hook = P(*([n - b] + [1] * b))
             for nu in enumerate_partitions(n):
-                got = kk_times_hook_mult(k, b, nu, engine="dvir")
+                got = kk_times_hook_mult(k, b, nu)
                 assert got in (0, 1), (k, b, nu)
                 assert got == kron_oracle(kk, hook, nu), (k, b, nu)
                 checked += 1

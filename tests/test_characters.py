@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -7,7 +8,7 @@ from math import factorial
 import pytest
 
 from conftest import cycle_type_of, frobenius_char
-from kronmf import characters
+from kronmf import characters, kronecker
 from kronmf.characters import (
     TableCeilingError,
     character_table,
@@ -281,6 +282,12 @@ class TestClassSumVerdict:
     # OEIS A000085: the number of involutions of S_n, n = 1..16
     INVOLUTIONS = (1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152,
                    568504, 2390480, 10349536, 46206736)
+
+    @pytest.fixture(autouse=True)
+    def _irreducible_products_once(self, monkeypatch):
+        # the sweeps multiply the same irreducible pairs many times over,
+        # and the oracle keeps no products of its own
+        monkeypatch.setattr(kronecker, "kron_product_oracle", functools.cache(kron_product_oracle))
 
     @staticmethod
     def values(chi):

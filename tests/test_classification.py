@@ -269,6 +269,12 @@ class TestTwoRowClosedForms:
             assert kk_square(k) == kron_product_oracle(P(k, k), P(k, k))
             assert kk_times_near(k) == kron_product_oracle(P(k, k), P(k + 1, k - 1))
 
+    def test_against_dvir_beyond_the_table(self):
+        for k in range(7, 11):
+            assert staircase_square(k) == kron_product(P(k + 1, k), P(k + 1, k), "dvir"), k
+            assert kk_square(k) == kron_product(P(k, k), P(k, k), "dvir"), k
+            assert kk_times_near(k) == kron_product(P(k, k), P(k + 1, k - 1), "dvir"), k
+
     def test_complement_identity(self):
         for k in range(1, 7):
             n = 2 * k
@@ -290,9 +296,19 @@ class TestKkTimesHook:
             for b in range(n):
                 hook = P(*([n - b] + [1] * b))
                 for nu in enumerate_partitions(n):
-                    got = kk_times_hook_mult(k, b, nu, engine="dvir")
+                    got = kk_times_hook_mult(k, b, nu)
                     assert got in (0, 1)
                     assert got == kron_oracle(P(k, k), hook, nu), (k, b, nu)
+
+    def test_hook_rule_against_dvir(self):
+        # every hook constituent of [k,k].[n-b,1^b], past the table at k = 8
+        for k in range(1, 9):
+            n = 2 * k
+            hooks = [P(*([n - c] + [1] * c)) for c in range(n)]
+            for b, hook in enumerate(hooks):
+                product = kron_product(P(k, k), hook, "dvir")
+                for c, nu in enumerate(hooks):
+                    assert kk_times_hook_mult(k, b, nu) == product[nu], (k, b, c)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -329,16 +345,10 @@ class TestSmallDepthProducts:
                     got = small_depth_products("rect-times-n212", a=a, b=b)
                     assert got == kron_product_oracle(P(*([n - 2, 1, 1])), P(*([a] * b))), (a, b)
 
-    def test_kk_n33_small_range_uses_engine(self):
+    def test_kk_n33_small_range_matches_oracle(self):
         for k in (3, 4, 5, 6, 7):
-            got = small_depth_products("kk-times-n33", k=k, engine="oracle")
+            got = small_depth_products("kk-times-n33", k=k)
             assert got == kron_product_oracle(P(2 * k - 3, 3), P(k, k))
-
-    def test_kk_n33_at_16_respects_table_ceiling(self):
-        from kronmf.characters import TableCeilingError
-
-        with pytest.raises(TableCeilingError):
-            small_depth_products("kk-times-n33", k=8, engine="oracle")
 
     def test_kk_n33_closed_form_above_16(self):
         from kronmf.partitions import dimension
@@ -350,18 +360,19 @@ class TestSmallDepthProducts:
             assert got.total_dimension() == dimension(P(n - 3, 3)) * dimension(P(k, k))
 
     def test_kk_n33_closed_form_matches_dvir(self):
-        for k in (9, 10, 12, 15):
+        for k in (*range(3, 11), 12, 15):
             got = small_depth_products("kk-times-n33", k=k)
             assert got == kron_product(P(2 * k - 3, 3), P(k, k), "dvir"), k
 
     def test_rect_closed_forms_match_dvir(self):
-        for a, b in ((4, 4), (5, 4), (6, 3)):
+        for a, b in ((4, 4), (5, 4), (6, 4), (5, 5), (6, 3), (7, 3), (8, 3), (4, 5)):
             n = a * b
             rect = P(*([a] * b))
             got = small_depth_products("rect-times-n22", a=a, b=b)
             assert got == kron_product(P(n - 2, 2), rect, "dvir"), (a, b)
-            got = small_depth_products("rect-times-n212", a=a, b=b)
-            assert got == kron_product(P(n - 2, 1, 1), rect, "dvir"), (a, b)
+            if a >= b:
+                got = small_depth_products("rect-times-n212", a=a, b=b)
+                assert got == kron_product(P(n - 2, 1, 1), rect, "dvir"), (a, b)
 
     def test_small_n_exception_list(self):
         # at 6 <= n <= 9 the mf partners of [n-3,3] among non-linear,

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kronmf import characters, classification, kronecker
+from kronmf import characters, classification, kronecker, partitions
 from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import (
@@ -26,6 +26,7 @@ from kronmf.partitions import (
     SkewShape,
     enumerate_partitions,
     intersect,
+    is_linear,
     partition_sum,
 )
 
@@ -131,7 +132,7 @@ class TestDvir:
 
     def test_swapped_operands_reuse_the_memo(self):
         lam, mu, nu = P(4, 2, 1), P(3, 3, 1), P(3, 2, 2)
-        assert kron_product_oracle(lam, mu) is kron_product_oracle(mu, lam)
+        assert kron_product_oracle(lam, mu) == kron_product_oracle(mu, lam)
         assert kronecker._dvir_product(lam, mu) is kronecker._dvir_product(mu, lam)
         g_dvir(lam, mu, nu)
         hits = kronecker._sweep.cache_info().hits
@@ -382,23 +383,23 @@ class TestVirtualExtension:
 
 
 class TestEngineIndependence:
-    """The oracle never calls Dvir, and Dvir never touches a character table.
+    """The oracle never calls Dvir, Dvir never touches a character table,
+    and the closed forms of ``classification`` use neither engine.
 
     Each test empties the memos on both sides first, so every product is
-    computed while the other engine's kernels are replaced by a refusal.
+    computed while the refused engine's kernels are replaced by a refusal.
     """
 
     @staticmethod
-    def _cold(monkeypatch, module, *names):
-        for memo in (characters._table, characters._packed, characters._product_oracle,
-                     characters._class_weights, classification._basic_form,
-                     kronecker._sweep, kronecker._band):
+    def _cold(monkeypatch, *kernels):
+        for memo in (characters._table, characters._packed, characters._class_weights,
+                     partitions.skew_normalize, kronecker._sweep, kronecker._band):
             memo.cache_clear()
 
         def refuse(*args):
-            raise AssertionError(f"the other engine's kernel was called with {args}")
+            raise AssertionError(f"a refused engine kernel was called with {args}")
 
-        for name in names:
+        for module, name in kernels:
             monkeypatch.setattr(module, name, refuse)
 
     @staticmethod
@@ -412,7 +413,7 @@ class TestEngineIndependence:
     def test_dvir_never_touches_a_table(self, monkeypatch):
         from kronmf.verify import verify_pairs, verify_skew, verify_triples
 
-        self._cold(monkeypatch, characters, "_table")
+        self._cold(monkeypatch, (characters, "_table"))
         self._every_product("dvir")
         assert verify_pairs(8, engine="dvir").ok
         assert verify_skew(5, engine="dvir").ok
@@ -421,8 +422,33 @@ class TestEngineIndependence:
     def test_oracle_never_calls_dvir(self, monkeypatch):
         from kronmf.verify import verify_pairs, verify_skew, verify_triples
 
-        self._cold(monkeypatch, kronecker, "_sweep", "_band")
+        self._cold(monkeypatch, (kronecker, "_sweep"), (kronecker, "_band"))
         self._every_product("oracle")
         assert verify_pairs(8, engine="oracle").ok
         assert verify_skew(5, engine="oracle").ok
         assert verify_triples(6, engine="oracle").ok
+
+    def test_closed_forms_need_no_engine(self, monkeypatch):
+        self._cold(monkeypatch, (characters, "_table"), (characters, "_packed"),
+                   (kronecker, "_sweep"), (kronecker, "_band"))
+        for k in range(1, 7):
+            for b in range(2 * k):
+                for nu in enumerate_partitions(2 * k):
+                    assert classification.kk_times_hook_mult(k, b, nu) in (0, 1)
+        for k in range(3, 16):
+            assert classification.small_depth_products("kk-times-n33", k=k).is_multiplicity_free()
+        for a in range(2, 9):
+            for b in range(2, 9):
+                if a * b >= 6:
+                    classification.small_depth_products("rect-times-n22", a=a, b=b)
+                if a >= b:
+                    classification.small_depth_products("rect-times-n212", a=a, b=b)
+        for k in range(1, 11):
+            classification.kk_square(k)
+            classification.kk_times_near(k)
+            classification.staircase_square(k)
+        for n in range(3, 10):
+            for lam in enumerate_partitions(n):
+                classification.product_with_natural(lam)
+                if not is_linear(lam):
+                    classification.square_low_depth(lam)

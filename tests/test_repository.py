@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import shutil
@@ -39,3 +40,16 @@ def test_benchmark_probes_resolve():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_classification_imports_no_engine():
+    # the closed forms must stay an independent check on both engines
+    tree = ast.parse((ROOT / "src" / "kronmf" / "classification.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    engines = {"kronecker", "characters"}
+    assert not {m for m in imported if m.rsplit(".", 1)[-1] in engines}
