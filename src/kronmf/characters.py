@@ -4,12 +4,19 @@ The oracle computes Kronecker coefficients straight from the definition
 (class-size weighted triple products divided by n!) and is the ground
 truth that every structural engine is checked against.
 
-Character values come from the Murnaghan-Nakayama rule applied forward
-on a bead abacus (``_add_strips``): a column of the table is the Schur
-expansion of a power-sum product, built one part at a time, and the
-table builder shares the work of cycle types with a common prefix.  All
-values are exact Python integers.  Three kernels are memoised with
-``functools.cache`` for the life of the process, one entry per degree:
+The table is built by rows (``_rows``), with the Murnaghan-Nakayama
+rule applied by rim-hook removal on a bead abacus: the row of a
+partition lam of degree m is assembled from the rows of the partitions
+lam - h of degree m - k, over the rim hooks h of each size k.  Each row
+is one packed integer with a fixed-width slot per cycle type, so the
+block of cycle types with first part k is the signed sum of the
+children's rows, cut to a suffix and moved into place with a shift.
+The rows of lower degree live only during the build.  A single value
+(``character_value``) comes from the same rule applied forward, a
+border strip added per part (``_add_strips``), and stays the
+independent reference for the table.  All values are exact Python
+integers.  Three kernels are memoised with ``functools.cache`` for the
+life of the process, one entry per degree:
 ``_table`` (one table), ``_packed`` (the same table packed by columns,
 built on the first product of a degree, never by ``character_table``)
 and ``_class_weights`` (the class sizes and the class-weighted column
@@ -35,10 +42,9 @@ import json
 import os
 import sys
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
-from math import factorial
+from math import factorial, isqrt
 from operator import mul
 
 from .expansion import CharacterExpansion
@@ -49,8 +55,9 @@ _CEILING_ENV = "KRONMF_TABLE_CEILING"
 
 
 class TableCeilingError(ValueError):
-    """Raised when a character-table request exceeds the resource ceiling,
-    or when the ceiling set in the environment is not an integer."""
+    """Raised when a character-table request exceeds the resource ceiling
+    or the 64-bit values the table holds (n > 33), or when the ceiling set
+    in the environment is not an integer."""
 
 
 def table_ceiling() -> int:
@@ -210,35 +217,140 @@ def character_table(n: int, ceiling: int | None = None) -> CharacterTable:
     return _table(n)
 
 
-def _columns(
-    vec: dict[int, int], cycles: tuple[int, ...], rest: int
-) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """Depth-first over the cycle types that extend cycles by parts of
-    total rest, none larger than the last part: yields each cycle type
-    with vec times its p-product, in descending lex order.  Cycle types
-    sharing a prefix share its products, and only the vectors on the
-    current path are alive."""
-    if not rest:
-        yield cycles, vec
-        return
-    for k in range(min(rest, cycles[-1]) if cycles else rest, 0, -1):
-        yield from _columns(_add_strips(vec, k), cycles + (k,), rest - k)
+def _restricted_counts(n: int) -> list[list[int]]:
+    """counts[c][m] = the number of partitions of m with all parts <= c,
+    for 0 <= c, m <= n: adding parts of size c to the partitions with
+    parts < c, or not."""
+    counts = [[1] + [0] * n]
+    for c in range(1, n + 1):
+        row = counts[-1][:]
+        for m in range(c, n + 1):
+            row[m] += row[m - c]
+        counts.append(row)
+    return counts
+
+
+def _rows(
+    n: int, parts: tuple[Partition, ...], words: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of the degree-n table, for parts the partitions of n in
+    descending lex order, each row over the cycle types in that order.
+
+    Soundness.  The Murnaghan-Nakayama rule by rim-hook removal:
+    chi^lam(k, rho') is the sum of (-1)^ht(h) chi^(lam - h)(rho') over
+    the rim hooks h of lam of size k, and chi^() = 1 on the empty cycle
+    type.  On an n-bead abacus (``_beads``) a rim hook of size k is a
+    bead moved from an occupied b to an empty b - k, and its height is
+    the number of beads strictly between: the reverse of a strip move of
+    ``_add_strips``.  A partition of degree m <= n has at most n parts,
+    so one n-bead mask names a partition of any degree.
+
+    Layout.  A row is one signed integer with a B-bit slot per cycle type,
+    B = 64 * words, the i-th cycle type in descending lex order at weight
+    2^(B i).  Among the cycle types of m with parts <= c, those with first
+    part k form one block, which starts at slot counts[c][m] -
+    counts[k][m], after the types with a larger first part.  It holds the
+    types (k, rho'), rho' running over the partitions of m - k with parts
+    <= k in descending lex order.  That is the suffix of the last
+    counts[k][m - k] slots of a degree-(m - k) row.  So a block is the
+    signed sum of the children's rows, cut to that suffix and shifted
+    into place, and a row is the plain sum of its disjoint blocks.
+
+    The n - m cap.  A row of degree m < n keeps only the cycle types with
+    parts <= n - m.  It is read only by the block k' of a row of degree
+    m + k' <= n, on the parts <= k' <= n - m, so no slot a degree-n row
+    depends on is dropped.  The degree-n rows keep every cycle type, and
+    the children of their block k, of degree n - k, hold exactly the
+    parts <= k, so those blocks need no cut.
+
+    The bias bound.  The cut adds the bias, 2^(B - 1) in every slot,
+    before the right shift and subtracts it from the slots kept after.
+    If every slot of the sum lies strictly between -2^(B - 1) and
+    2^(B - 1), each biased slot is a digit in [0, 2^B), so the shift
+    drops the low slots with no borrow.  A block sums at most n hooks,
+    since the rim hooks of size k match the cells of hook length k, and
+    each value obeys |chi^mu(rho)| <= dim mu <= isqrt(m!), since the
+    squared dimensions sum to m!.  So B >= bitlen(n * isqrt(n!)) + 2
+    bounds every slot.  The degree-n rows are read back the same way:
+    with the bias added every slot is a digit, one XOR with the bias
+    turns it into its value's two's complement in B bits, and the low
+    64-bit word of the slot is the value, since |chi| <= isqrt(n!) <
+    2^63.  ``words`` only widens the slots; by default it is the least
+    the bound allows.
+    """
+    root = isqrt(factorial(n))
+    assert root < 1 << 63
+    if words is None:
+        words = -(-((n * root).bit_length() + 2) // 64)
+    width = 64 * words
+    digit = bytes(8 * words - 1) + b"\x80"
+    biases: dict[int, int] = {}
+
+    def bias(slots: int) -> int:
+        if slots not in biases:
+            biases[slots] = int.from_bytes(digit * slots, "little")
+        return biases[slots]
+
+    counts = _restricted_counts(n)
+    rows = {(1 << n) - 1: 1}
+    level = [(1 << n) - 1]
+    for m in range(1, n + 1):
+        if m < n:
+            # one box added to each partition of m - 1: a bead moved up one
+            masks: set[int] = set()
+            for mask in level:
+                movable = mask & ~(mask >> 1)
+                while movable:
+                    bead = movable & -movable
+                    movable ^= bead
+                    masks.add(mask ^ bead ^ (bead << 1))
+            level = list(masks)
+        else:
+            level = [_beads(lam, n) for lam in parts]
+        cap = n - m or n  # the degree-n rows keep every cycle type
+        for mask in level:
+            row = 0
+            for k in range(1, min(cap, m) + 1):
+                block = 0
+                movable = mask & ~(mask << k) & -(1 << k)
+                while movable:
+                    bead = movable & -movable
+                    movable ^= bead
+                    child = rows[mask ^ bead ^ (bead >> k)]
+                    if (mask & (bead - (bead >> (k - 1)))).bit_count() & 1:
+                        block -= child
+                    else:
+                        block += child
+                if block:
+                    j = m - k
+                    keep = counts[k][j]
+                    held = counts[n - j][j]
+                    if held > keep:
+                        block = ((block + bias(held)) >> (width * (held - keep))) - bias(keep)
+                    row += block << (width * (counts[cap][m] - counts[k][m]))
+            rows[mask] = row
+    full = bias(len(parts))
+    size = 8 * words * len(parts)
+    out = []
+    for mask in level:
+        slots = array("q", ((rows[mask] + full) ^ full).to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            slots.byteswap()
+        out.append(tuple(slots[::words]))
+    return tuple(out)
 
 
 @cache
 def _table(n: int) -> CharacterTable:
+    """The degree-n table: rows from ``_rows``, columns in the same order."""
+    if isqrt(factorial(n)) >> 63:
+        raise TableCeilingError(f"character values for n={n} may not fit 64-bit words")
     parts = tuple(enumerate_partitions(n))
-    row_of = {_beads(lam, n): i for i, lam in enumerate(parts)}
-    grid = [[0] * len(parts) for _ in parts]
-    for j, (rho, column) in enumerate(_columns({(1 << n) - 1: 1}, (), n)):
-        assert rho == parts[j]
-        for mask, c in column.items():
-            grid[row_of[mask]][j] = c
     return CharacterTable(
         degree=n,
         rows=parts,
         cols=parts,
-        values=tuple(map(tuple, grid)),
+        values=_rows(n, parts),
         class_sizes=tuple(class_size(rho) for rho in parts),
     )
 

@@ -12,11 +12,11 @@ normalizes by conjugation and reports the first clause that fires, in
 classification order, so verdict provenance is reproducible.
 
 Each predicate states every clause once and derives each fact about an
-operand once per call: the pair predicate builds its clause constants
-once per degree, and the skew predicate reads the basic shape and its
-partition label from ``skew_normalize``, defers to the pair predicate
-when there is a label, and otherwise compares one skew expansion with
-the closed forms and their sign twists.
+operand once per call: the pair and skew predicates build their clause
+constants once per degree, and the skew predicate reads the basic shape
+and its partition label from ``skew_normalize``, defers to the pair
+predicate when there is a label, and otherwise compares one skew
+expansion with the closed forms and their sign twists.
 """
 
 from __future__ import annotations
@@ -138,14 +138,40 @@ def is_mf_triple(lam: Partition, mu: Partition, nu: Partition) -> MfVerdict:
     return MfVerdict(True, "triple-all-linear")
 
 
-def _twist_tag(chi: CharacterExpansion, terms: dict[Partition, int]) -> tuple[str, ...] | None:
-    """() if chi is the sum of terms, ("twist-skew",) if it is its conjugate."""
-    target = CharacterExpansion(chi.degree, terms)
-    if chi == target:
+def _twist_tag(
+    chi: CharacterExpansion, target: tuple[CharacterExpansion, CharacterExpansion]
+) -> tuple[str, ...] | None:
+    """() if chi is the closed form, ("twist-skew",) if it is its sign twist."""
+    form, twisted = target
+    if chi == form:
         return ()
-    if chi == target.conjugate():
+    if chi == twisted:
         return ("twist-skew",)
     return None
+
+
+@cache
+def _skew_clauses(n: int) -> tuple:
+    """The clause constants of ``is_mf_skew_times_irr`` at degree n.
+
+    (case-3 alphas, (k,k), case-2 target, case-3 target), each target a
+    closed form with its sign twist.  Case 2 needs a non-linear
+    rectangle, so n >= 4; case 3 needs n = 2k even and n >= 4.  Where a
+    case cannot fire its constants are empty or None.
+    """
+
+    def target(*labels: tuple[int, ...]) -> tuple[CharacterExpansion, CharacterExpansion]:
+        form = CharacterExpansion(n, {Partition(p): 1 for p in labels})
+        return form, form.conjugate()
+
+    if n < 4:
+        return (), None, None, None
+    k, r = divmod(n, 2)
+    case_2 = target((n,), (n - 1, 1))
+    if r:
+        return (), None, case_2, None
+    kk = Partition((k, k))
+    return (kk, Partition((2,) * k)), kk, case_2, target((k + 1, k - 1), (k, k))
 
 
 def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
@@ -168,10 +194,8 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
             return MfVerdict(True, f"skew-irr-reduced:{sub.clause}", sub.normalization)
         return MF_NO
 
-    n = alpha.n
-    k, r = divmod(n, 2)
-    kk = Partition((k, k))
-    case_3 = not r and n >= 4 and alpha in (kk, Partition((2,) * k))
+    case_3_alphas, kk, case_2, case_3_target = _skew_clauses(alpha.n)
+    case_3 = alpha in case_3_alphas
     # every clause below needs alpha linear, a rectangle or case-3 shaped
     # (a linear alpha is a rectangle); expand the skew shape only then
     if not (is_rectangle(alpha) or case_3):
@@ -180,11 +204,11 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     if chi.is_multiplicity_free() and is_linear(alpha):
         return MfVerdict(True, "skew-irr-case-1")
     if is_rectangle(alpha) and not is_linear(alpha):
-        twist = _twist_tag(chi, {Partition((n,)): 1, Partition((n - 1, 1)): 1})
+        twist = _twist_tag(chi, case_2)
         if twist is not None:
             return MfVerdict(True, "skew-irr-case-2", twist)
     if case_3:
-        twist = _twist_tag(chi, {Partition((k + 1, k - 1)): 1, kk: 1})
+        twist = _twist_tag(chi, case_3_target)
         if twist is not None:
             conj = () if alpha == kk else ("conjugate-irr",)
             return MfVerdict(True, "skew-irr-case-3", twist + conj)

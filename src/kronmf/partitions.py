@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -184,15 +184,24 @@ def hook_counts(p: Partition) -> dict[str, int]:
 
 @cache
 def dimension(p: Partition) -> int:
-    """Number of standard Young tableaux of shape p (hook length formula)."""
+    """Number of standard Young tableaux of shape p (hook length formula).
+
+    The hook of the 0-based cell (i, j) is p_i + p'_j - i - j - 1, read
+    from the conjugate p' in one pass instead of scanning each leg.
+    """
     if not p:
         return 1
+    cols = [0] * p[0]
+    for part in p:
+        for j in range(part):
+            cols[j] += 1
+    col_terms = [c - j - 1 for j, c in enumerate(cols)]
+    den = 1
+    for i, part in enumerate(p):
+        row_term = part - i
+        for col_term in col_terms[:part]:
+            den *= row_term + col_term
     num = factorial(p.n)
-    den = reduce(
-        lambda acc, h: acc * h,
-        (hook_length(p, i, j) for i in range(1, len(p) + 1) for j in range(1, p[i - 1] + 1)),
-        1,
-    )
     assert num % den == 0
     return num // den
 

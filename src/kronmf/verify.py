@@ -169,7 +169,8 @@ def verify_pairs(
 ) -> VerificationReport:
     """Pair classification: is_mf_pair iff the computed product has max mult 1."""
     pairs = _unordered_pairs(enumerate_partitions(n))
-    products = _pair_product_maps(n, pairs, engine, jobs, cache)
+    # resolved once: "auto" reads the table ceiling from the environment
+    products = _pair_product_maps(n, pairs, _resolve_engine(engine, n), jobs, cache)
     rows = (
         _mf_row(is_mf_pair(lam, mu), max(products[(lam, mu)].values()) == 1, lam, mu)
         for lam, mu in pairs
@@ -188,7 +189,8 @@ def _character_ring(n: int, engine: str):
     a ``CharacterExpansion`` and products go through
     ``multiply_expansions``, which never touches a table.
     """
-    if _resolve_engine(engine, n) != "oracle":
+    engine = _resolve_engine(engine, n)
+    if engine != "oracle":
         return (
             lambda chi: chi,
             partial(multiply_expansions, engine=engine),

@@ -106,8 +106,8 @@ class TestCharacterTable:
         assert dims == (1, 2, 1)
 
     def test_trivial_row_and_dimension_column(self):
-        for n in range(1, 9):
-            t = character_table(n)
+        for n in range(1, 17):
+            t = character_table(n, ceiling=n)
             assert all(v == 1 for v in t.values[0])
             assert tuple(row[-1] for row in t.values) == tuple(dimension(p) for p in t.rows)
 
@@ -123,7 +123,8 @@ class TestCharacterTable:
             character_table(n).check_orthogonality()
 
     def test_entries_match_character_value(self):
-        for n in range(10):
+        # the forward strip fold is the independent reference for the rows
+        for n in range(12):
             t = character_table(n)
             for lam in t.rows:
                 for rho in t.cols:
@@ -134,17 +135,34 @@ class TestCharacterTable:
         [
             (14, "b4b568b6cc23a384f1e759702a36f831f0a5057099786844e77af9528adb7fb3"),
             (16, "b8ac24e929a54407bc6d42db9efbf3e5934979e2b0ef5e0ce43718bc4f93b867"),
+            (18, "cf6bfcac4b82a6b0d615329b7da197b5ec5ffcabebb8072c3b32b7c37c1e3041"),
+            (20, "5e5f4652141206e61724302fce0bac2c2c4136cb8b88fbe8ad48643be6712b8d"),
         ],
     )
     def test_json_digest_frozen(self, n, digest):
-        # digests taken from the per-entry border-strip recursion: any
-        # change to a value, a label or the layout changes them
+        # digests at 14 and 16 taken from the per-entry border-strip
+        # recursion, at 18 and 20 from the column builder that folded
+        # border strips over cycle-type prefixes: any change to a value, a
+        # label or the layout changes them
         blob = character_table(n, ceiling=n).to_json().encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("words", [2, 3])
+    def test_wide_slots_give_the_same_rows(self, words):
+        # slots wider than one word take the same cut and read-back path
+        for n in (0, 1, 5, 10):
+            t = character_table(n)
+            assert characters._rows(n, t.rows, words=words) == t.values
 
     def test_ceiling(self):
         with pytest.raises(TableCeilingError):
             character_table(characters.table_ceiling() + 1)
+
+    def test_values_beyond_64_bits_refused(self):
+        # isqrt(33!) < 2^63 <= isqrt(34!): refused before any enumeration
+        assert math.isqrt(factorial(33)) < 1 << 63 <= math.isqrt(factorial(34))
+        with pytest.raises(TableCeilingError):
+            character_table(34, ceiling=34)
 
     def test_ceiling_env_override(self, monkeypatch):
         monkeypatch.setenv("KRONMF_TABLE_CEILING", "3")

@@ -53,3 +53,18 @@ def test_classification_imports_no_engine():
             imported.update(alias.name for alias in node.names)
     engines = {"kronecker", "characters"}
     assert not {m for m in imported if m.rsplit(".", 1)[-1] in engines}
+
+
+def test_character_kernels_memoised_for_the_process():
+    # only these three keep a degree's data for the life of the process;
+    # the lower-degree rows of the table build stay local to the build
+    tree = ast.parse((ROOT / "src" / "kronmf" / "characters.py").read_text())
+    cached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else target.id
+                if name in {"cache", "lru_cache"}:
+                    cached.add(node.name)
+    assert cached == {"_table", "_packed", "_class_weights"}

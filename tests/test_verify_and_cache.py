@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import kronmf.kronecker as kronecker_mod
 import kronmf.verify as verify_mod
 from kronmf.cache import ProductCache
 from kronmf.characters import character_table
@@ -264,6 +265,18 @@ class TestReports:
         asked.clear()
         verify_triples(n)
         assert Counter(asked) == Counter(product(*t) for t in combinations_with_replacement(irr, 3))
+
+
+@pytest.mark.parametrize("ceiling", [3, 14])
+@pytest.mark.parametrize("sweep", [verify_pairs, verify_triples, verify_skew])
+def test_auto_engine_resolved_once_per_sweep(monkeypatch, sweep, ceiling):
+    # "auto" reads the table ceiling once per sweep, not once per product,
+    # whichever engine it picks; the report keeps the string it was given
+    reads = []
+    monkeypatch.setattr(kronecker_mod, "table_ceiling", lambda: reads.append(1) or ceiling)
+    report = sweep(5)
+    assert len(reads) == 1
+    assert report.engine == "auto"
 
 
 def test_verify_stdout_digest_frozen(capsys):
