@@ -52,12 +52,15 @@ from .partitions import Partition, dimension, enumerate_partitions, format_parti
 
 DEFAULT_TABLE_CEILING = 14
 _CEILING_ENV = "KRONMF_TABLE_CEILING"
+# the largest n with isqrt(n!) < 2^63: every character value of degree n
+# is at most dim <= isqrt(n!) in size, so the table's 64-bit words hold it
+MAX_TABLE_DEGREE = 33
 
 
 class TableCeilingError(ValueError):
     """Raised when a character-table request exceeds the resource ceiling
-    or the 64-bit values the table holds (n > 33), or when the ceiling set
-    in the environment is not an integer."""
+    or the 64-bit values the table holds (n > MAX_TABLE_DEGREE), or when
+    the ceiling set in the environment is not an integer."""
 
 
 def table_ceiling() -> int:
@@ -343,7 +346,7 @@ def _rows(
 @cache
 def _table(n: int) -> CharacterTable:
     """The degree-n table: rows from ``_rows``, columns in the same order."""
-    if isqrt(factorial(n)) >> 63:
+    if n > MAX_TABLE_DEGREE:
         raise TableCeilingError(f"character values for n={n} may not fit 64-bit words")
     parts = tuple(enumerate_partitions(n))
     return CharacterTable(

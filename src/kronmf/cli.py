@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(VERIFY_MODES), default="pairs")
     _format_flag(p)
     _engine_flag(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per core (pairs mode only)")
+    p.add_argument("--jobs", type=int, default=1, help="only 1: every sweep runs in one process")
     p.add_argument("--cache", default=None, metavar="PATH", help="product cache file (pairs mode only)")
     p.add_argument("--force", action="store_true", help="bypass mode ceilings")
 
@@ -271,10 +271,8 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n < 1:
         raise CliError("degree must be at least 1")
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.mode != "pairs" and args.jobs != 1:
-        raise CliError(f"--jobs applies to --mode pairs only, not {args.mode}")
+    if args.jobs != 1:
+        raise CliError(f"--jobs takes only 1, got {args.jobs}: every sweep runs in one process")
     if args.mode != "pairs" and args.cache is not None:
         raise CliError(f"--cache applies to --mode pairs only, not {args.mode}")
     if args.mode == "engines" and args.engine != "auto":
@@ -290,7 +288,6 @@ def _cmd_verify(args) -> int:
             kwargs["cache"] = ProductCache(args.cache) if args.cache else None
         except (ValueError, OSError) as exc:
             raise CliError(str(exc)) from None
-        kwargs["jobs"] = args.jobs
     report = VERIFY_MODES[args.mode](args.n, **kwargs)
     wall_time = time.monotonic() - start
     print(report.to_json() if args.format == "json" else report.to_text())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .characters import kron_oracle, kron_product_oracle, table_ceiling
+from .characters import MAX_TABLE_DEGREE, kron_oracle, kron_product_oracle, table_ceiling
 from .expansion import CharacterExpansion
 from .littlewood_richardson import _lr_counts, skew_expand
 from .partitions import (
@@ -50,7 +50,9 @@ def _resolve_engine(engine: str, n: int) -> str:
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "auto":
         return engine
-    return "oracle" if n <= table_ceiling() else "dvir"
+    # the oracle only where its table can be built: within the ceiling and
+    # within the 64-bit values the table holds
+    return "oracle" if n <= min(table_ceiling(), MAX_TABLE_DEGREE) else "dvir"
 
 
 def max_width(lam: Partition, mu: Partition) -> int:

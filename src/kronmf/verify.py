@@ -13,17 +13,16 @@ character is its list of values on the classes (a table row, or one sum
 of rows per skew shape), a product is pointwise, and
 ``characters.is_mf_class_function`` decides multiplicity-freeness from
 two class sums.  The pair and engine sweeps, and every sweep under Dvir,
-compute full products.  Pair sweeps can run on a process pool; the
-pair space is partitioned by hash of the canonical key and results are
-sorted after aggregation, so reports are identical under any schedule.
+compute full products.  Every sweep runs in one process and streams:
+the pair sweep takes each product from the optional cache, or computes
+it once and adds it there, and keeps none past its row otherwise.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat, starmap
+from itertools import combinations_with_replacement, repeat, starmap
 from operator import add, mul
 
 from .cache import ProductCache
@@ -37,9 +36,7 @@ from .partitions import (
     SkewShape,
     enumerate_basic_skew_shapes,
     enumerate_partitions,
-    format_partition,
     is_proper_skew,
-    parse_partition,
 )
 
 DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 7}
@@ -84,64 +81,6 @@ class VerificationReport:
         )
 
 
-def _unordered_pairs(parts: list[Partition]) -> list[tuple[Partition, Partition]]:
-    return [(parts[i], parts[j]) for i in range(len(parts)) for j in range(i, len(parts))]
-
-
-def _pair_products_chunk(args) -> list[tuple[str, str, list[tuple[tuple[int, ...], int]]]]:
-    n, engine, chunk = args
-    out = []
-    for lam_s, mu_s in chunk:
-        lam, mu = parse_partition(lam_s), parse_partition(mu_s)
-        terms = kron_product(lam, mu, engine)
-        out.append((lam_s, mu_s, [(tuple(p), m) for p, m in terms.items()]))
-    return out
-
-
-def _pair_product_maps(
-    n: int,
-    pairs: list[tuple[Partition, Partition]],
-    engine: str,
-    jobs: int,
-    cache: ProductCache | None,
-) -> dict[tuple[Partition, Partition], dict[Partition, int]]:
-    results: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    missing = []
-    for lam, mu in pairs:
-        hit = cache.get(n, lam, mu) if cache is not None else None
-        if hit is not None:
-            results[(lam, mu)] = hit
-        else:
-            missing.append((lam, mu))
-    # a pool starts all its workers at once; more than the cores buys nothing
-    jobs = min(jobs, os.cpu_count() or 1)
-    if missing and jobs > 1:
-        # imported here: it costs every CLI start about 20 ms, and only
-        # --jobs uses it
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks: list[list[tuple[str, str]]] = [[] for _ in range(jobs)]
-        for lam, mu in missing:
-            chunks[hash((tuple(lam), tuple(mu))) % jobs].append(
-                (format_partition(lam), format_partition(mu))
-            )
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(
-                _pair_products_chunk, [(n, engine, c) for c in chunks if c]
-            ):
-                for lam_s, mu_s, terms in part:
-                    lam, mu = parse_partition(lam_s), parse_partition(mu_s)
-                    results[(lam, mu)] = {Partition(p): m for p, m in terms}
-    else:
-        for lam, mu in missing:
-            results[(lam, mu)] = kron_product(lam, mu, engine).terms()
-    if cache is not None:
-        for (lam, mu), terms in results.items():
-            cache.put(n, lam, mu, terms)
-        cache.flush()
-    return results
-
-
 def _report(n: int, mode: str, engine: str, rows) -> VerificationReport:
     """Count one row per check and keep the mismatches, sorted."""
     checked, mismatches = 0, []
@@ -164,18 +103,25 @@ def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str
     return (str(left), " | ".join(map(str, right))) + verdicts
 
 
+def _pair_rows(n: int, engine: str, cache: ProductCache | None):
+    # resolved once: "auto" reads the table ceiling from the environment
+    engine = _resolve_engine(engine, n)
+    for lam, mu in combinations_with_replacement(enumerate_partitions(n), 2):
+        terms = cache.get(n, lam, mu) if cache is not None else None
+        if terms is None:
+            terms = kron_product(lam, mu, engine).terms()
+            if cache is not None:
+                cache.put(n, lam, mu, terms)
+        yield _mf_row(is_mf_pair(lam, mu), max(terms.values()) == 1, lam, mu)
+    if cache is not None:
+        cache.flush()
+
+
 def verify_pairs(
-    n: int, engine: str = "auto", jobs: int = 1, cache: ProductCache | None = None
+    n: int, engine: str = "auto", cache: ProductCache | None = None
 ) -> VerificationReport:
     """Pair classification: is_mf_pair iff the computed product has max mult 1."""
-    pairs = _unordered_pairs(enumerate_partitions(n))
-    # resolved once: "auto" reads the table ceiling from the environment
-    products = _pair_product_maps(n, pairs, _resolve_engine(engine, n), jobs, cache)
-    rows = (
-        _mf_row(is_mf_pair(lam, mu), max(products[(lam, mu)].values()) == 1, lam, mu)
-        for lam, mu in pairs
-    )
-    return _report(n, "pairs", engine, rows)
+    return _report(n, "pairs", engine, _pair_rows(n, engine, cache))
 
 
 def _character_ring(n: int, engine: str):
@@ -280,7 +226,7 @@ def _engine_row(lam: Partition, mu: Partition) -> tuple[str, str, str, str] | No
 
 def verify_engines(n: int) -> VerificationReport:
     """Dvir recursion against the character-table oracle, all pairs."""
-    pairs = _unordered_pairs(enumerate_partitions(n))
+    pairs = combinations_with_replacement(enumerate_partitions(n), 2)
     return _report(n, "engines", "dvir-vs-oracle", starmap(_engine_row, pairs))
 
 

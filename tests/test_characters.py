@@ -160,9 +160,23 @@ class TestCharacterTable:
 
     def test_values_beyond_64_bits_refused(self):
         # isqrt(33!) < 2^63 <= isqrt(34!): refused before any enumeration
-        assert math.isqrt(factorial(33)) < 1 << 63 <= math.isqrt(factorial(34))
+        top = characters.MAX_TABLE_DEGREE
+        assert top == 33
+        assert math.isqrt(factorial(top)) < 1 << 63 <= math.isqrt(factorial(top + 1))
         with pytest.raises(TableCeilingError):
             character_table(34, ceiling=34)
+
+    def test_huge_degree_refused_without_a_factorial(self, monkeypatch):
+        # the 64-bit refusal compares n with a constant; it never computes n!
+        exact = characters.factorial
+
+        def small_only(k):
+            assert k <= 40, f"factorial({k}) computed"
+            return exact(k)
+
+        monkeypatch.setattr(characters, "factorial", small_only)
+        with pytest.raises(TableCeilingError):
+            character_table(10**6, ceiling=10**6)
 
     def test_ceiling_env_override(self, monkeypatch):
         monkeypatch.setenv("KRONMF_TABLE_CEILING", "3")

@@ -225,36 +225,6 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stderr == "error: n=10 exceeds the pairs ceiling 9; pass --force\n"
 
-    def test_jobs_deterministic(self):
-        a = run_cli("verify", "6", "--mode", "pairs", "--jobs", "1")
-        b = run_cli("verify", "6", "--mode", "pairs", "--jobs", "3")
-        assert a.stdout == b.stdout and a.returncode == b.returncode == 0
-
-    def test_jobs_is_bounded_by_the_core_count(self, monkeypatch):
-        # a stand-in pool that maps in this process: no worker is started
-        import concurrent.futures
-
-        seen = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        many = run_cli("verify", "5", "--jobs", "100000")
-        one = run_cli("verify", "5", "--jobs", "1")
-        assert all(w <= (os.cpu_count() or 1) for w in seen)
-        assert many.stdout == one.stdout and many.returncode == one.returncode == 0
-
     def test_engine_flag_reaches_the_sweep(self):
         a = run_cli("verify", "5", "--mode", "pairs", "--engine", "dvir")
         b = run_cli("verify", "5", "--mode", "pairs", "--engine", "oracle")
@@ -376,8 +346,9 @@ class TestVerify:
         ("classify-triple", "4", "2,2", "3,1", "--format", "csv"),
         ("classify-skew", "3,2/1", "2,2", "--format", "csv"),
         ("verify", "4", "--format", "csv"),
-        # verify flags its mode ignores
+        # verify flags its mode ignores, and --jobs other than 1
         ("verify", "5", "--mode", "skew", "--cache", "unused.jsonl"),
+        ("verify", "4", "--mode", "pairs", "--jobs", "2"),
         ("verify", "4", "--mode", "triples", "--jobs", "2"),
         ("verify", "4", "--mode", "engines", "--jobs", "2"),
         ("verify", "4", "--jobs", "0"),
@@ -430,7 +401,7 @@ def test_huge_partition_is_one_line_exit_2(operands):
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # only verify --jobs uses it, and importing it slows every start
+    # the program runs in one process, and importing a pool slows every start
     code = "import sys, kronmf.cli; print('concurrent.futures.process' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0 and res.stdout == "False\n"

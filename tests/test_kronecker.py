@@ -237,6 +237,10 @@ class TestKronProduct:
         monkeypatch.setenv("KRONMF_TABLE_CEILING", "5")
         assert _resolve_engine("auto", 5) == "oracle"
         assert _resolve_engine("auto", 6) == "dvir"
+        # a ceiling above the 64-bit limit: the table stops at n = 33
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "100")
+        assert _resolve_engine("auto", 33) == "oracle"
+        assert _resolve_engine("auto", 34) == "dvir"
 
 
 class TestMultiplyExpansions:

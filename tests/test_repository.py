@@ -68,3 +68,26 @@ def test_character_kernels_memoised_for_the_process():
                 if name in {"cache", "lru_cache"}:
                     cached.add(node.name)
     assert cached == {"_table", "_packed", "_class_weights"}
+
+
+def test_program_imports_no_process_pool():
+    # the program runs in one process by design: no module may bring a
+    # pool back, at top level or inside a function
+    pools = {"concurrent.futures", "multiprocessing"}
+    found = []
+    for path in sorted((ROOT / "src" / "kronmf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "concurrent":
+                    names += [f"concurrent.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}: {name}"
+                for name in names
+                if any(name == p or name.startswith(p + ".") for p in pools)
+            ]
+    assert found == []

@@ -124,6 +124,10 @@ class TestProductCache:
         path = str(tmp_path / "c.jsonl")
         cold = ProductCache(path)
         assert verify_pairs(9, cache=cold).ok
+        # record order and bytes, pinned from the sweep that held every product
+        with open(path, "rb") as fh:
+            written = hashlib.sha256(fh.read()).hexdigest()
+        assert written == "533679164a88c68dcfa261a44932f11014a01b8ad8e03ff5490ca6086ad125de"
         reloaded = ProductCache(path)
         p9 = len(enumerate_partitions(9))
         assert len(reloaded) == p9 * (p9 + 1) // 2
@@ -294,12 +298,13 @@ def test_verify_stdout_digest_frozen(capsys):
 
 
 def test_verify_stdout_digest_frozen_at_the_ceilings(capsys):
-    # the skew sweep at its ceiling and the triple sweep one above it,
-    # both formats; taken from the sweeps that expanded every product
+    # the skew sweep at its ceiling, the triple sweep one above it and the
+    # pair sweep three above it, both formats; taken from the sweeps that
+    # expanded every product
     h = hashlib.sha256()
-    for mode, n in (("skew", 7), ("triples", 8)):
+    for mode, n in (("skew", 7), ("triples", 8), ("pairs", 12)):
         for fmt in ("text", "json"):
             code = main(["verify", str(n), "--mode", mode, "--format", fmt, "--force"])
             h.update(f"{mode} {n} {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
-    assert h.hexdigest() == "3927414b7200fa17cca627bba7f978c73e37a55cdec5b6f4ce00e751563cea63"
+    assert h.hexdigest() == "b0e311048c04dd3ea815ebe93463654b2a4d636a517987e1d9605e5f815278bb"
 
