@@ -30,6 +30,7 @@ from .partitions import (
     add_node,
     addable_nodes,
     canonical_pair,
+    conjugate,
     intersect,
     iter_subpartitions,
     partition_sum,
@@ -108,20 +109,47 @@ def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     return acc
 
 
+def _orient(lam: Partition, mu: Partition) -> tuple[Partition, Partition, bool]:
+    """The pair the sweep runs on, and whether its labels are conjugated.
+
+    Of (lam, mu), (lam', mu'), (lam, mu') and (lam', mu), the first with
+    the largest lam_1 + mu_1; lam'_1 is len(lam), and only a chosen
+    operand is conjugated.  chi^{lam'} = sgn.chi^lam, so [lam'].[mu'] =
+    [lam].[mu] and [lam].[mu'] = ([lam].[mu])': the products agree, up to
+    conjugating every label when exactly one operand is conjugated.  The
+    widest pair has the smallest tails lam-bar and mu-bar, and the sweep's
+    cost follows them.  Operands are taken and returned in canonical
+    order, so swapped operands share one sweep.
+    """
+    lam, mu = canonical_pair(lam, mu)
+    lam_1, mu_1 = lam.row(1), mu.row(1)
+    widths = (lam_1 + mu_1, len(lam) + len(mu), lam_1 + len(mu), len(lam) + mu_1)
+    best = widths.index(max(widths))
+    if best == 0:
+        return lam, mu, False
+    if best == 1:
+        return (*canonical_pair(conjugate(lam), conjugate(mu)), False)
+    if best == 2:
+        return (*canonical_pair(lam, conjugate(mu)), True)
+    return (*canonical_pair(conjugate(lam), mu), True)
+
+
 def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Full Kronecker product map at this degree, by the recursion alone.
 
-    The sweep stops at width max(1, lam_1 + mu_1 - n), because every
-    constituent of [lam].[mu] has nu_1 >= lam_1 + mu_1 - n: by Young's
-    rule [lam] is a constituent of Ind(1 x [lam-bar]) from S_{lam_1} x
-    S_{n-lam_1}, and by Mackey (push-pull) Ind(1 x [lam-bar]).[mu] =
-    Ind((1 x [lam-bar]).Res[mu]).  Res[mu] is a sum of [a] x [mu/a] with
-    a |- lam_1 inside mu, so a_1 >= lam_1 - (n - mu_1), and inducing
-    [a] x (anything) gives only constituents containing a.  ``g_dvir``
-    returns 0 below the same bound without sweeping.
+    It sweeps the pair ``_orient`` picks, down to width max(1, lam_1 +
+    mu_1 - n), because every constituent of [lam].[mu] has nu_1 >=
+    lam_1 + mu_1 - n: by Young's rule [lam] is a constituent of
+    Ind(1 x [lam-bar]) from S_{lam_1} x S_{n-lam_1}, and by Mackey
+    (push-pull) Ind(1 x [lam-bar]).[mu] = Ind((1 x [lam-bar]).Res[mu]).
+    Res[mu] is a sum of [a] x [mu/a] with a |- lam_1 inside mu, so
+    a_1 >= lam_1 - (n - mu_1), and inducing [a] x (anything) gives only
+    constituents containing a.  ``g_dvir`` returns 0 below the same
+    bound without sweeping.
     """
-    lam, mu = canonical_pair(lam, mu)
-    return _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
+    lam, mu, flip = _orient(lam, mu)
+    out = _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
+    return {conjugate(nu): g for nu, g in out.items()} if flip else out
 
 
 @cache
@@ -153,15 +181,19 @@ def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
 def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient by the width recursion (no character tables).
 
-    It runs the pair's width sweep, stopped at width nu_1.  Below the
-    Mackey bound nu_1 >= lam_1 + mu_1 - n (see ``_dvir_product``) the
-    coefficient is 0 and nothing is swept.
+    It runs the width sweep of the pair ``_orient`` picks, stopped at
+    width nu_1, with nu conjugated when the labels are: g(lam, mu', nu)
+    = g(lam, mu, nu').  Below the Mackey bound nu_1 >= lam_1 + mu_1 - n
+    (see ``_dvir_product``) the coefficient is 0 and nothing is swept.
     """
     if not (lam.n == mu.n == nu.n):
         raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
+    lam, mu, flip = _orient(lam, mu)
+    if flip:
+        nu = conjugate(nu)
     if nu.row(1) < lam.row(1) + mu.row(1) - lam.n:
         return 0
-    return _sweep(*canonical_pair(lam, mu), nu.row(1)).get(nu, 0)
+    return _sweep(lam, mu, nu.row(1)).get(nu, 0)
 
 
 def g_at_max_width(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -62,26 +62,32 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
                 above_of[k] = pos[(i - 1, j)]
             k += 1
 
-    def rec(k: int) -> None:
-        if k == ncells:
-            content = Partition(c for c in counts if c)
-            tally[content] = tally.get(content, 0) + 1
-            return
-        row = cells[k][0]
-        hi = row
+    # Backtrack by index: cell k takes its next admissible value v, or
+    # the search goes back to cell k - 1 and moves it past its value.
+    k = 0
+    v = 1  # the first cell has no cell above it
+    while True:
+        hi = cells[k][0]
         if right_of[k] >= 0:
             hi = min(hi, values[right_of[k]])
-        lo = values[above_of[k]] + 1 if above_of[k] >= 0 else 1
-        for v in range(lo, hi + 1):
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
+        while v <= hi and v > 1 and counts[v - 1] <= counts[v]:
+            v += 1
+        if v <= hi:
             counts[v] += 1
             values[k] = v
-            rec(k + 1)
-            counts[v] -= 1
-
-    rec(0)
-    return tally
+            if k + 1 < ncells:
+                k += 1
+                v = values[above_of[k]] + 1 if above_of[k] >= 0 else 1
+                continue
+            content = Partition(c for c in counts if c)
+            tally[content] = tally.get(content, 0) + 1
+        elif k:
+            k -= 1
+            v = values[k]
+        else:
+            return tally
+        counts[v] -= 1
+        v += 1
 
 
 def skew_expand(s: SkewShape) -> CharacterExpansion:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import accumulate
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -87,9 +89,7 @@ class Node(NamedTuple):
 
 def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram."""
-    if not p:
-        return EMPTY
-    cols = [0] * p[0]
+    cols = [0] * p.width
     for part in p:
         for j in range(part):
             cols[j] += 1
@@ -189,13 +189,7 @@ def dimension(p: Partition) -> int:
     The hook of the 0-based cell (i, j) is p_i + p'_j - i - j - 1, read
     from the conjugate p' in one pass instead of scanning each leg.
     """
-    if not p:
-        return 1
-    cols = [0] * p[0]
-    for part in p:
-        for j in range(part):
-            cols[j] += 1
-    col_terms = [c - j - 1 for j, c in enumerate(cols)]
+    col_terms = [c - j - 1 for j, c in enumerate(conjugate(p))]
     den = 1
     for i, part in enumerate(p):
         row_term = part - i
@@ -223,26 +217,9 @@ def enumerate_partitions(
     """All partitions of n under the constraints, in descending lex order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    max_length = n if max_length is None else min(max_length, n)
-    max_width = n if max_width is None else min(max_width, n)
-    out: list[Partition] = []
-
-    def rec(remaining: int, cap: int, rows_left: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        if rows_left == 0:
-            return
-        top = min(cap, remaining)
-        # least feasible first part: remaining split across rows_left rows
-        low = -(-remaining // rows_left)
-        for part in range(top, low - 1, -1):
-            prefix.append(part)
-            rec(remaining - part, part, rows_left - 1, prefix)
-            prefix.pop()
-
-    rec(n, max_width, max_length, [])
-    return out
+    rows = n if max_length is None else min(max_length, n)
+    width = n if max_width is None else max(0, min(max_width, n))
+    return list(iter_subpartitions(Partition((width,) * rows), n))
 
 
 # --- shape classification (the vocabulary of the multiplicity-free families) ---
@@ -564,25 +541,46 @@ def format_skew(s: SkewShape) -> str:
 
 
 def iter_subpartitions(p: Partition, size: int) -> Iterator[Partition]:
-    """Partitions of the given size contained rowwise in p."""
+    """Partitions of the given size contained rowwise in p, in descending lex order.
 
-    def rec(i: int, remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        if i >= len(p):
-            return
-        top = min(cap, p[i], remaining)
-        for part in range(top, 0, -1):
-            rows_left = len(p) - i - 1
-            room = sum(min(part, p[i + 1 + r]) for r in range(rows_left))
-            if remaining - part > room:
-                continue
-            prefix.append(part)
-            yield from rec(i + 1, remaining - part, part, prefix)
-            prefix.pop()
+    No recursion.  The first partition fills the rows greedily: each row
+    is as long as its bound in p, the row above and the cells left
+    allow.  Each next one lowers by one the last part that can still be
+    completed, and refills the rows below it greedily.
 
-    if size == 0:
-        yield EMPTY
-    elif size > 0:
-        yield from rec(0, size, p.width if p else 0, [])
+    Soundness.  Under a cap c, rows i, i+1, ... hold at most their room,
+    the sum of min(c, p_j) over j >= i.  A greedy fill reaches it unless
+    the cells run out first: a row it leaves shorter than the row above
+    meets its bound, and no bound below is larger.  So a greedy
+    completion exists iff any completion does, and it is the lex-largest
+    one.  The successor keeps the longest prefix it can, then the
+    largest smaller part that still has a completion.  Lowering a part
+    shrinks the room below it and grows what is left to place, so the
+    first value that fails ends that row, and the scan moves up a row.
+    """
+    suffix = list(accumulate(reversed(p), initial=0))[::-1]
+
+    def room(i: int, cap: int) -> int:
+        # p is weakly decreasing: rows i..k-1 reach the cap, rows k.. their bound
+        k = bisect_right(p, -cap, i, key=operator.neg)
+        return cap * (k - i) + suffix[k]
+
+    if not 0 <= size <= room(0, size):
+        return
+    parts: list[int] = []
+    cap = left = size
+    while True:
+        while left:
+            cap = min(p[len(parts)], cap, left)
+            parts.append(cap)
+            left -= cap
+        yield Partition(parts)
+        left = 1
+        for i in reversed(range(len(parts))):
+            cap = parts[i] - 1
+            if room(i + 1, cap) >= left:
+                parts[i:] = [cap]
+                break
+            left += parts[i]
+        else:
+            return

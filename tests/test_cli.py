@@ -400,6 +400,29 @@ def test_huge_partition_is_one_line_exit_2(operands):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        ("kron 1^1000 1^1000", "[1000]"),
+        ("kron 1^300 1^300", "[300]"),
+        ("kron 996,4 2,1^998", "[3,2^3,1^991] + [3,2,2,1^993] + [2^5,1^990] + [2^4,1^992] + [2^3,1^994]"),
+        ("coeff 2,1^998 2,1^998 1000", "1"),
+        ("coeff 2,1^998 1000 2,1^998", "1"),
+        ("coeff 1^1000 1^1000 1^1000", "0"),
+        ("classify-skew 501,500/1 1000", "multiplicity-free  clause=skew-irr-case-1  normalization=none"),
+    ],
+)
+def test_long_operands_answer_without_recursion(argv, stdout):
+    # Dvir sweeps the widest orientation of the pair, so its cost follows
+    # the tails; the enumerator and the LR fill keep no per-row stack
+    res = subprocess.run(
+        [sys.executable, "-m", "kronmf", *argv.split()], capture_output=True, text=True, timeout=30
+    )
+    assert res.returncode == 0
+    assert res.stdout == stdout + "\n"
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # the program runs in one process, and importing a pool slows every start
     code = "import sys, kronmf.cli; print('concurrent.futures.process' in sys.modules)"

@@ -24,6 +24,7 @@ from kronmf.partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    conjugate,
     enumerate_partitions,
     intersect,
     is_linear,
@@ -187,6 +188,26 @@ class TestDvir:
         # here in seconds instead of running for hours at n = 60
         assert at_20[1] < len(enumerate_partitions(20))
         assert work_at(60) == at_20
+
+    def test_every_orientation_matches_the_oracle(self):
+        # the sweep runs on (lam, mu), (lam', mu'), (lam, mu') or (lam', mu)
+        for n in range(1, 7):
+            parts = enumerate_partitions(n)
+            for lam in parts:
+                for mu in parts:
+                    for nu in parts:
+                        assert g_dvir(lam, mu, nu) == kron_oracle(lam, mu, nu), (lam, mu, nu)
+
+    def test_mixed_orientation_against_the_natural_closed_form(self):
+        # [mu].[(n-1,1)'] = ([mu].[n-1,1])': the sweep runs on (mu, (n-1,1))
+        # and conjugates every label; the closed form uses no engine
+        n = 1000
+        natural_conjugate = conjugate(P(n - 1, 1))
+        for d in range(5):
+            for bar in enumerate_partitions(d):
+                mu = P(n - d, *bar)
+                expected = classification.product_with_natural(mu).conjugate()
+                assert kron_product(mu, natural_conjugate, "dvir") == expected, mu
 
 
 class TestKronProduct:

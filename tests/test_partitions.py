@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from kronmf.partitions import (
     hook_length,
     intersect,
     is_fat_hook,
+    iter_subpartitions,
     is_proper_skew,
     parse_partition,
     parse_skew,
@@ -225,6 +228,15 @@ class TestDimension:
         for n in range(11):
             assert sum(dimension(p) ** 2 for p in enumerate_partitions(n)) == factorial(n)
 
+    def test_hook_length_formula_up_to_20(self):
+        for n in range(21):
+            for p in enumerate_partitions(n):
+                hooks = 1
+                for i in range(1, len(p) + 1):
+                    for j in range(1, p[i - 1] + 1):
+                        hooks *= hook_length(p, i, j)
+                assert dimension(p) * hooks == factorial(n), p
+
 
 class TestEnumerate:
     def test_n4_order(self):
@@ -249,6 +261,41 @@ class TestEnumerate:
         for n in range(10):
             got = enumerate_partitions(n)
             assert got == sorted(set(got), reverse=True)
+
+    @staticmethod
+    def _brute(row_ranges, size):
+        """Weakly decreasing rows of the given size, by filtering every choice."""
+        return sorted(
+            (Partition(rows) for rows in product(*row_ranges)
+             if sum(rows) == size and all(a >= b for a, b in zip(rows, rows[1:]))),
+            reverse=True,
+        )
+
+    def test_subpartitions_match_brute_force(self):
+        for n in range(10):
+            for p in enumerate_partitions(n):
+                ranges = [range(part + 1) for part in p]
+                for size in range(-1, n + 2):
+                    assert list(iter_subpartitions(p, size)) == self._brute(ranges, size), (p, size)
+
+    def test_constraints_match_brute_force(self):
+        bounds = (None, 0, 1, 2, 3, 5)
+        for n in range(13):
+            # row i of a partition of n is at most n // i
+            every = self._brute([range(n // i + 1) for i in range(1, n + 1)], n)
+            for length in bounds:
+                for width in bounds:
+                    expected = [
+                        p for p in every
+                        if (length is None or len(p) <= length) and (width is None or p.width <= width)
+                    ]
+                    assert enumerate_partitions(n, length, width) == expected, (n, length, width)
+
+    def test_long_box_without_recursion(self):
+        assert list(iter_subpartitions(Partition((1,) * 5000), 4999)) == [Partition((1,) * 4999)]
+
+    def test_negative_bound_gives_nothing(self):
+        assert enumerate_partitions(3, max_length=-1) == []
 
 
 class TestSplitRows:
