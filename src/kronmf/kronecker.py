@@ -12,6 +12,12 @@ single coefficient both come from it.
 The bands' products of smaller-degree irreducibles go through this same
 sweep (recursion on strictly smaller degree), never the character
 table, so the oracle stays an independent cross-check.
+
+Three memos hold the recursion, each keyed on canonical operands:
+``_band`` (one band of a pair), ``_sweep`` (the coefficients of one
+oriented pair down to a width) and ``_dvir_product`` (one labelled
+product per pair).  A band sums its weights per canonical (sigma, tau)
+before multiplying, so each distinct sub-product is read once per band.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    _unchecked,
     add_node,
     addable_nodes,
     canonical_pair,
@@ -68,17 +75,21 @@ def y_set(nu: Partition) -> tuple[Partition, ...]:
     in descending lex order.
 
     Interleaving characterisation: eta_i >= nu_{i+1} >= eta_{i+1} for
-    all i >= 1, with |eta| = |nu|.  Members stay Partitions: a raw tuple
-    from the last range keeps a trailing zero and misses Partition keys.
+    all i >= 1, with |eta| = |nu|.  Every member is weakly decreasing by
+    the interleaving, and every part but the last is at least nu_ell > 0.
+    The last range starts at nu_{ell+1} = 0, so a member ends in at most
+    one zero: it is stripped and the member built unchecked.
     """
     n = nu.n
     ell = len(nu)
+    second = nu.row(2)
     members = []
     ranges = [range(nu.row(i + 1), nu.row(i) + 1) for i in range(2, ell + 1)]
     for tail in iproduct(*ranges):
         head = n - sum(tail)
-        if head >= nu.row(2):
-            members.append(Partition((head,) + tail))
+        if head >= second:
+            parts = (head,) + tail
+            members.append(_unchecked(parts if parts[-1] else parts[:-1]))
     members.sort(reverse=True)
     return tuple(members)
 
@@ -95,17 +106,24 @@ def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     so g(lam, mu, nu) <= band_k[nu-hat]: a coefficient is nonzero only
     if nu-hat is in the band's support.  The returned dict holds exactly
     that support (every stored value is positive).
+
+    The band is the sum of c1.c2.[sigma].[tau] over the LR terms, and
+    [sigma].[tau] = [tau].[sigma], so the weights c1.c2 are summed per
+    canonical (sigma, tau) first and each distinct product is read once.
     """
     # Multiplies the cached LR tallies directly: alpha lies inside
     # lam ^ mu, so both skew shapes are valid and no expansion is built.
-    acc: dict[Partition, int] = {}
+    weights: dict[tuple[Partition, Partition], int] = {}
     for alpha in iter_subpartitions(intersect(lam, mu), k):
         right = _lr_counts(mu, alpha).items()
         for sig, c1 in _lr_counts(lam, alpha).items():
             for tau, c2 in right:
-                weight = c1 * c2
-                for nu_hat, g in _dvir_product(sig, tau).items():
-                    acc[nu_hat] = acc.get(nu_hat, 0) + weight * g
+                key = (sig, tau) if sig >= tau else (tau, sig)
+                weights[key] = weights.get(key, 0) + c1 * c2
+    acc: dict[Partition, int] = {}
+    for (sig, tau), weight in weights.items():
+        for nu_hat, g in _dvir_product(sig, tau).items():
+            acc[nu_hat] = acc.get(nu_hat, 0) + weight * g
     return acc
 
 
@@ -134,6 +152,7 @@ def _orient(lam: Partition, mu: Partition) -> tuple[Partition, Partition, bool]:
     return (*canonical_pair(conjugate(lam), mu), True)
 
 
+@cache
 def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Full Kronecker product map at this degree, by the recursion alone.
 
@@ -146,7 +165,14 @@ def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     a_1 >= lam_1 - (n - mu_1), and inducing [a] x (anything) gives only
     constituents containing a.  ``g_dvir`` returns 0 below the same
     bound without sweeping.
+
+    Memoised on the canonical pair: swapped operands are sent there, so
+    both orders return one dict.  An unconjugated orientation returns
+    the ``_sweep`` dict itself, a conjugated one its relabelled copy,
+    built once.  Callers only read the result.
     """
+    if lam < mu:
+        return _dvir_product(mu, lam)
     lam, mu, flip = _orient(lam, mu)
     out = _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
     return {conjugate(nu): g for nu, g in out.items()} if flip else out
@@ -161,7 +187,8 @@ def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
     g(lam, mu, eta) over the other eta in Y(nu).  Those eta are wider
     than nu, so the widths already swept hold every nonzero one in
     ``out``; eta wider than |lam ^ mu| have g = 0 and are never there,
-    and nu itself is not there yet.
+    and nu itself is not there yet.  nu-hat is a partition no wider
+    than k, so nu = (k, nu-hat) is one and is built unchecked.
     """
     if lam.n == 0:
         return {EMPTY: 1}
@@ -169,7 +196,7 @@ def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
     for k in range(intersect(lam, mu).n, low - 1, -1):
         for nu_hat, total in _band(lam, mu, k).items():
             if nu_hat.width <= k:
-                nu = Partition((k,) + nu_hat)
+                nu = _unchecked((k,) + nu_hat)
                 g = total - sum(out.get(eta, 0) for eta in y_set(nu))
                 if g < 0:
                     raise DvirInvariantError(f"negative coefficient {g} at g({lam}, {mu}, {nu})")

@@ -17,6 +17,7 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    _unchecked,
     is_fat_hook,
     is_linear,
     is_near_rectangle,
@@ -31,7 +32,12 @@ from .verdict import MF_NO, MfVerdict
 
 @cache
 def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
-    """Tally LR tableau contents over all fillings of outer/inner."""
+    """Tally LR tableau contents over all fillings of outer/inner.
+
+    A content is the counts of a lattice word: every value v > 1 is
+    placed only while counts[v - 1] > counts[v], so the nonzero counts
+    are weakly decreasing and each content is built unchecked.
+    """
     spans = [(inner.row(i), outer[i - 1]) for i in range(1, len(outer) + 1)]
     cells: list[tuple[int, bool, bool]] = []  # (row, has_right_in_shape, has_above_in_shape)
     for i, (a, b) in enumerate(spans, start=1):
@@ -79,7 +85,7 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
                 k += 1
                 v = values[above_of[k]] + 1 if above_of[k] >= 0 else 1
                 continue
-            content = Partition(c for c in counts if c)
+            content = _unchecked(c for c in counts if c)
             tally[content] = tally.get(content, 0) + 1
         elif k:
             k -= 1

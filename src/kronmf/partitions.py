@@ -32,8 +32,10 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        parts = parts[:end]
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive, got {p}")
@@ -80,6 +82,17 @@ class Partition(tuple):
 EMPTY = Partition()
 
 
+def _unchecked(parts: Iterable[int]) -> Partition:
+    """A Partition built without the checks of ``Partition.__new__``.
+
+    Only for parts that are a partition by construction: positive ints,
+    weakly decreasing, no trailing zero.  Each caller says why in its
+    docstring.  Input from outside the program (the CLI, the parser,
+    the cache loader) always goes through the checked constructor.
+    """
+    return tuple.__new__(Partition, parts)
+
+
 class Node(NamedTuple):
     """A diagram node in 1-based (row, col) coordinates."""
 
@@ -88,17 +101,26 @@ class Node(NamedTuple):
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose the Young diagram."""
+    """Transpose the Young diagram.
+
+    Column j counts the rows longer than j: positive for j < p_1 and
+    weakly decreasing in j, so it is built unchecked.
+    """
     cols = [0] * p.width
     for part in p:
         for j in range(part):
             cols[j] += 1
-    return Partition(cols)
+    return _unchecked(cols)
 
 
 def intersect(p: Partition, q: Partition) -> Partition:
-    """Rowwise minimum: the largest partition contained in both."""
-    return Partition(min(a, b) for a, b in zip(p, q))
+    """Rowwise minimum: the largest partition contained in both.
+
+    ``zip`` stops at the shorter operand, so every part is the minimum of
+    two positive parts, and the rowwise minimum of two weakly decreasing
+    sequences is weakly decreasing: built unchecked.
+    """
+    return _unchecked(min(a, b) for a, b in zip(p, q))
 
 
 def canonical_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
@@ -574,7 +596,7 @@ def iter_subpartitions(p: Partition, size: int) -> Iterator[Partition]:
             cap = min(p[len(parts)], cap, left)
             parts.append(cap)
             left -= cap
-        yield Partition(parts)
+        yield _unchecked(parts)
         left = 1
         for i in reversed(range(len(parts))):
             cap = parts[i] - 1

@@ -39,7 +39,7 @@ from .partitions import (
     is_proper_skew,
 )
 
-DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 7}
+DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 10}
 
 
 @dataclass

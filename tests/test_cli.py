@@ -410,11 +410,16 @@ def test_huge_partition_is_one_line_exit_2(operands):
         ("coeff 2,1^998 1000 2,1^998", "1"),
         ("coeff 1^1000 1^1000 1^1000", "0"),
         ("classify-skew 501,500/1 1000", "multiplicity-free  clause=skew-irr-case-1  normalization=none"),
+        (
+            "classify-skew 1^200000/1 199999",
+            "multiplicity-free  clause=skew-irr-reduced:pair-case-1  normalization=none",
+        ),
     ],
 )
 def test_long_operands_answer_without_recursion(argv, stdout):
     # Dvir sweeps the widest orientation of the pair, so its cost follows
-    # the tails; the enumerator and the LR fill keep no per-row stack
+    # the tails; the enumerator and the LR fill keep no per-row stack, and
+    # a partition strips its trailing zeros in one slice
     res = subprocess.run(
         [sys.executable, "-m", "kronmf", *argv.split()], capture_output=True, text=True, timeout=30
     )

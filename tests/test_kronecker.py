@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,15 +21,17 @@ from kronmf.kronecker import (
     virtual_extension_chi,
     y_set,
 )
-from kronmf.littlewood_richardson import skew_expand
+from kronmf.littlewood_richardson import _lr_counts, skew_expand
 from kronmf.partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    canonical_pair,
     conjugate,
     enumerate_partitions,
     intersect,
     is_linear,
+    iter_subpartitions,
     partition_sum,
 )
 
@@ -142,7 +146,7 @@ class TestDvir:
 
     def test_below_the_mackey_bound_sweeps_nothing(self):
         # nu_1 = 20 < 38 + 37 - 40 = 35; the whole product builds 42 bands
-        for kernel in (kronecker._band, kronecker._sweep):
+        for kernel in (kronecker._band, kronecker._sweep, kronecker._dvir_product):
             kernel.cache_clear()
         assert g_dvir(P(38, 2), P(37, 3), P(20, 20)) == 0
         assert kronecker._band.cache_info().misses <= 42
@@ -169,7 +173,7 @@ class TestDvir:
         # A timing-free gate: the sweep visits only band supports inside
         # the depth window, so the memo misses of a depth-bounded product
         # do not grow with n.  Enumerating all p(n) partitions would.
-        kernels = (kronecker._band, kronecker._sweep)
+        kernels = (kronecker._band, kronecker._sweep, kronecker._dvir_product)
         corrections = []
         y_set_ = kronecker.y_set
         monkeypatch.setattr(kronecker, "y_set", lambda nu: corrections.append(nu) or y_set_(nu))
@@ -188,6 +192,42 @@ class TestDvir:
         # here in seconds instead of running for hours at n = 60
         assert at_20[1] < len(enumerate_partitions(20))
         assert work_at(60) == at_20
+
+    @pytest.mark.parametrize("lam, mu", [(P(4, 3, 2), P(4, 3, 2)), (P(5, 3, 2, 1), P(4, 4, 2, 1))])
+    def test_band_reads_each_distinct_pair_once(self, lam, mu, monkeypatch):
+        # [sigma].[tau] = [tau].[sigma] and the band is linear in its
+        # terms, so a band asks for each canonical (sigma, tau) once,
+        # however many (alpha, sigma, tau) terms share it
+        for kernel in (kronecker._band, kronecker._sweep, kronecker._dvir_product):
+            kernel.cache_clear()
+        band, product = kronecker._band, kronecker._dvir_product
+        bands, asked = set(), []
+        monkeypatch.setattr(kronecker, "_band", lambda *key: bands.add(key) or band(*key))
+        monkeypatch.setattr(
+            kronecker, "_dvir_product", lambda a, b: asked.append(canonical_pair(a, b)) or product(a, b)
+        )
+        assert product(lam, mu) == dict(kron_product_oracle(lam, mu).items())
+        expected = Counter()
+        for outer_l, outer_m, k in bands:
+            expected.update({
+                canonical_pair(sig, tau)
+                for alpha in iter_subpartitions(intersect(outer_l, outer_m), k)
+                for sig in _lr_counts(outer_l, alpha)
+                for tau in _lr_counts(outer_m, alpha)
+            })
+        assert Counter(asked) == expected
+
+    def test_products_frozen_on_seeded_tail_6_pairs(self):
+        # six seeded pairs with tail n - lam_1 = 6 at n = 30, where the
+        # sweep's cost follows the tails; taken from the kernel that
+        # multiplied every (alpha, sigma, tau) term of a band on its own
+        rng = random.Random(30)
+        tails = enumerate_partitions(6)
+        h = hashlib.sha256()
+        for _ in range(6):
+            lam, mu = (P(24, *rng.choice(tails)) for _ in range(2))
+            h.update(f"{lam} {mu} {sorted(kron_product(lam, mu, 'dvir').items())}\n".encode())
+        assert h.hexdigest() == "d5205ef48175bc537e3547bcb408add4f17b5c20b7765b936e66218bb6165136"
 
     def test_every_orientation_matches_the_oracle(self):
         # the sweep runs on (lam, mu), (lam', mu'), (lam, mu') or (lam', mu)
@@ -418,7 +458,8 @@ class TestEngineIndependence:
     @staticmethod
     def _cold(monkeypatch, *kernels):
         for memo in (characters._table, characters._packed, characters._class_weights,
-                     partitions.skew_normalize, kronecker._sweep, kronecker._band):
+                     partitions.skew_normalize, kronecker._sweep, kronecker._band,
+                     kronecker._dvir_product):
             memo.cache_clear()
 
         def refuse(*args):
@@ -447,7 +488,8 @@ class TestEngineIndependence:
     def test_oracle_never_calls_dvir(self, monkeypatch):
         from kronmf.verify import verify_pairs, verify_skew, verify_triples
 
-        self._cold(monkeypatch, (kronecker, "_sweep"), (kronecker, "_band"))
+        self._cold(monkeypatch, (kronecker, "_sweep"), (kronecker, "_band"),
+                   (kronecker, "_dvir_product"))
         self._every_product("oracle")
         assert verify_pairs(8, engine="oracle").ok
         assert verify_skew(5, engine="oracle").ok
@@ -455,7 +497,7 @@ class TestEngineIndependence:
 
     def test_closed_forms_need_no_engine(self, monkeypatch):
         self._cold(monkeypatch, (characters, "_table"), (characters, "_packed"),
-                   (kronecker, "_sweep"), (kronecker, "_band"))
+                   (kronecker, "_sweep"), (kronecker, "_band"), (kronecker, "_dvir_product"))
         for k in range(1, 7):
             for b in range(2 * k):
                 for nu in enumerate_partitions(2 * k):

@@ -55,10 +55,8 @@ def test_classification_imports_no_engine():
     assert not {m for m in imported if m.rsplit(".", 1)[-1] in engines}
 
 
-def test_character_kernels_memoised_for_the_process():
-    # only these three keep a degree's data for the life of the process;
-    # the lower-degree rows of the table build stay local to the build
-    tree = ast.parse((ROOT / "src" / "kronmf" / "characters.py").read_text())
+def _memoised(module):
+    tree = ast.parse((ROOT / "src" / "kronmf" / f"{module}.py").read_text())
     cached = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
@@ -67,7 +65,40 @@ def test_character_kernels_memoised_for_the_process():
                 name = target.attr if isinstance(target, ast.Attribute) else target.id
                 if name in {"cache", "lru_cache"}:
                     cached.add(node.name)
-    assert cached == {"_table", "_packed", "_class_weights"}
+    return cached
+
+
+def test_character_kernels_memoised_for_the_process():
+    # only these three keep a degree's data for the life of the process;
+    # the lower-degree rows of the table build stay local to the build
+    assert _memoised("characters") == {"_table", "_packed", "_class_weights"}
+
+
+def test_dvir_kernels_memoised_for_the_process():
+    # the recursion keeps bands, sweeps and labelled products; Y(nu) is
+    # rebuilt per correction rather than held
+    assert _memoised("kronecker") == {"_band", "_sweep", "_dvir_product"}
+
+
+def _mentions(tree, name):
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+        for node in ast.walk(tree)
+    )
+
+
+def test_unchecked_partitions_stay_inside_the_engines():
+    # parts that skip validation are built only where they are a
+    # partition by construction; outside input (CLI, cache file, parser)
+    # always goes through the checked constructor
+    src = ROOT / "src" / "kronmf"
+    users = {path.name for path in src.glob("*.py") if _mentions(ast.parse(path.read_text()), "_unchecked")}
+    assert users == {"partitions.py", "littlewood_richardson.py", "kronecker.py"}
+    tree = ast.parse((src / "partitions.py").read_text())
+    parser = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "parse_partition")
+    assert not _mentions(parser, "_unchecked")
 
 
 def test_program_imports_no_process_pool():

@@ -162,7 +162,7 @@ class TestReports:
         assert "mismatch:" in out.out
 
     def test_mode_ceilings_defaults(self):
-        assert DEFAULT_CEILINGS == {"pairs": 9, "triples": 7, "skew": 7, "engines": 7}
+        assert DEFAULT_CEILINGS == {"pairs": 9, "triples": 7, "skew": 7, "engines": 10}
 
     def test_report_counts_cover_modes(self):
         assert verify_pairs(3).pairs_checked == 6
@@ -307,4 +307,11 @@ def test_verify_stdout_digest_frozen_at_the_ceilings(capsys):
             code = main(["verify", str(n), "--mode", mode, "--format", fmt, "--force"])
             h.update(f"{mode} {n} {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
     assert h.hexdigest() == "b0e311048c04dd3ea815ebe93463654b2a4d636a517987e1d9605e5f815278bb"
+    # the engine sweep at its ceiling, taken from the Dvir kernel that
+    # multiplied every (alpha, sigma, tau) term of a band on its own
+    h = hashlib.sha256()
+    for fmt in ("text", "json"):
+        code = main(["verify", "10", "--mode", "engines", "--format", fmt, "--force"])
+        h.update(f"engines 10 {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
+    assert h.hexdigest() == "1748b9ebed81d2c6d10a6c70947c9e84eeaf64731ba7a5987cc40887d5280925"
 
