@@ -42,8 +42,11 @@ class ProductCache:
         self._records: dict[tuple[int, Partition, Partition], dict[Partition, int]] = {}
         self._dirty: list[tuple[int, Partition, Partition]] = []
         self._torn_at: int | None = None
-        if os.path.exists(path):
-            self._load()
+        # an unwritable path fails here, before a sweep computes anything
+        # that flush could not write; it leaves an empty file, an empty cache
+        with open(path, "a", encoding="utf-8"):
+            pass
+        self._load()
 
     def _load(self) -> None:
         """Read every record.  A final line without its newline is a torn

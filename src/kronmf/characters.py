@@ -36,13 +36,10 @@ coefficient at a time, as the independent reference for the packed path.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cache
 from math import factorial, isqrt
 from operator import mul
@@ -152,18 +149,38 @@ def class_size(rho: Partition) -> int:
     return size
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    degree: int
-    rows: tuple[Partition, ...]
-    cols: tuple[Partition, ...]
-    values: tuple[tuple[int, ...], ...]
-    class_sizes: tuple[int, ...]
-    _index: dict[Partition, int] = field(init=False, repr=False, compare=False)
+    """The exact character table of degree ``degree``, immutable:
+    ``values[i][j]`` is the character of ``rows[i]`` on the class
+    ``cols[j]``, of size ``class_sizes[j]``.  Equality and the hash
+    read the five fields."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("degree", "rows", "cols", "values", "class_sizes", "_index")
+
+    def __init__(
+        self,
+        degree: int,
+        rows: tuple[Partition, ...],
+        cols: tuple[Partition, ...],
+        values: tuple[tuple[int, ...], ...],
+        class_sizes: tuple[int, ...],
+    ) -> None:
         # rows and cols are both the partitions of degree, in one order
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.rows)})
+        index = {p: i for i, p in enumerate(rows)}
+        for name, value in zip(self.__slots__, (degree, rows, cols, values, class_sizes, index)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CharacterTable")
+
+    def _fields(self) -> tuple:
+        return self.degree, self.rows, self.cols, self.values, self.class_sizes
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CharacterTable and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def value(self, lam: Partition, rho: Partition) -> int:
         return self.values[self._index[lam]][self._index[rho]]
@@ -192,6 +209,9 @@ class CharacterTable:
                     raise AssertionError(f"column orthogonality fails at {self.cols[a]}, {self.cols[b]}")
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition"] + [format_partition(c) for c in self.cols])
@@ -401,6 +421,12 @@ def _packed(n: int) -> tuple[int, tuple[int, ...]]:
     |entry| >= 2^63), which is read as an unsigned integer A.  A negative
     entry x reads as x + 2^64, flagged by the top bit of its word, so
     P_rho = A minus twice the flagged bits.
+
+    Word order.  Slot i holds words i * W .. i * W + W - 1 of the
+    little-endian 64-bit word sequence of a packed sum, W = B / 64, its
+    low word first.  So word j of every slot is the strided slice
+    [j::W] of that sequence, and slot i's value is the sum over j of
+    word j << 64 j.
     """
     t = _table(n)
     k = len(t.rows)
@@ -419,7 +445,17 @@ def _packed(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
-    """Full Kronecker product expansion via the character table."""
+    """Full Kronecker product expansion via the character table.
+
+    Soundness of the decode.  Every slot of the packed sum holds
+    n! g(lam, mu, nu) in [0, 2^B) (see ``_packed``), so the sum is a
+    nonnegative integer whose base-2^B digits are the slot values, and
+    ``to_bytes`` writes them with no sign to undo.  Read as unsigned
+    64-bit words in ``_packed``'s word order, word j of every slot is
+    the strided slice [j::W], and folding those slices from the top word
+    down, high << 64 | low, rebuilds every slot: W C-level slices in
+    place of p(n) byte slices turned into ints one at a time.
+    """
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     n = lam.n
@@ -427,10 +463,15 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     slot, columns = _packed(n)
     nfact = factorial(n)
     weights = map(mul, map(mul, t.class_sizes, t.row(lam)), t.row(mu))
-    digits = sum(map(mul, weights, columns)).to_bytes(slot * len(t.rows), "little")
+    words = array("Q", sum(map(mul, weights, columns)).to_bytes(slot * len(t.rows), "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    width = slot // 8
+    totals = words[width - 1 :: width]
+    for j in range(width - 2, -1, -1):
+        totals = [high << 64 | low for high, low in zip(totals, words[j::width])]
     terms = {}
-    for i, nu in enumerate(t.rows):
-        total = int.from_bytes(digits[i * slot : (i + 1) * slot], "little")
+    for nu, total in zip(t.rows, totals):
         if total:
             g, rem = divmod(total, nfact)
             assert rem == 0 and g >= 0

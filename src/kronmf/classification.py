@@ -21,8 +21,8 @@ expansion with the closed forms and their sign twists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .expansion import CharacterExpansion
 from .littlewood_richardson import skew_expand
@@ -73,8 +73,15 @@ def _labels(*candidates) -> frozenset[Partition]:
 
 
 @cache
-def _pair_clauses(n: int) -> tuple:
-    """The six clause tests of ``is_mf_pair`` at degree n, in order."""
+def _pair_clauses(n: int) -> tuple[frozenset[tuple[int, int, int]], tuple]:
+    """The anchors and the six clause tests of ``is_mf_pair`` at degree n.
+
+    Each clause needs one argument to equal a fixed partition of n, its
+    anchor: (n), (n-1,1), the two-row (ceil(n/2), floor(n/2)) that (k,k)
+    is for even n, (n-2,2) or (n-2,1,1) (the rectangle clause's partner),
+    or the first operand of an exceptional pair.  Each anchor has at most
+    three rows and is held padded with zeros to three entries.
+    """
     k, r = divmod(n, 2)
     row = Partition((n,))
     natural = _try_partition((n - 1, 1))
@@ -82,7 +89,9 @@ def _pair_clauses(n: int) -> tuple:
     kk = None if r else two_row
     kk_partners = _labels((k + 1, k - 1), (n - 3, 3))
     rect_partners = _labels((n - 2, 2), (n - 2, 1, 1))
-    return (
+    exceptional = {x for x, _ in _EXCEPTIONAL_PAIRS if x.n == n}
+    anchors = {row, natural, two_row, *rect_partners, *exceptional} - {None}
+    return frozenset((*p, 0, 0)[:3] for p in anchors), (
         lambda x, y: x == row,
         lambda x, y: x == natural and is_fat_hook(y),
         lambda x, y: x == two_row and y == two_row,
@@ -92,6 +101,19 @@ def _pair_clauses(n: int) -> tuple:
     )
 
 
+def _anchored(p: Partition, anchors: frozenset[tuple[int, int, int]]) -> bool:
+    """Is p, or its conjugate, one of the anchors?  No conjugate is built.
+
+    Every anchor has at most three rows, so p can be one only if it has
+    at most three parts, and p' only if p_1 <= 3.  Then column j of p
+    counts the parts >= j: p' = (l, l - m_1, m_3), l being the number of
+    parts and m_i the number equal to i, as padded to three entries.
+    """
+    if len(p) <= 3 and (*p, 0, 0)[:3] in anchors:
+        return True
+    return p[0] <= 3 and (len(p), len(p) - p.count(1), p.count(3)) in anchors
+
+
 def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     """Is [lam].[mu] multiplicity-free?  The complete classification.
 
@@ -99,13 +121,22 @@ def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     and y are the operands after one of the four conjugation choices.
     Clauses are tried in order, each under the conjugation choices in
     ``_CONJ_COMBOS`` order, and the first match is reported.
+
+    Soundness of the early reject.  Every clause test needs one of its
+    arguments to equal an anchor of ``_pair_clauses``, and each argument
+    is lam, mu or one of their conjugates.  So a clause can hold only if
+    lam or mu is an anchor or an anchor's conjugate, and otherwise the
+    answer is ``MF_NO`` before any conjugate is built.
     """
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     if lam.n < 1:
         raise ValueError("degree must be at least 1")
+    anchors, clauses = _pair_clauses(lam.n)
+    if not (_anchored(lam, anchors) or _anchored(mu, anchors)):
+        return MF_NO
     lam_t, mu_t = conjugate(lam), conjugate(mu)
-    for clause, holds in enumerate(_pair_clauses(lam.n), start=1):
+    for clause, holds in enumerate(clauses, start=1):
         for (cl, cr), norm in _CONJ_COMBOS:
             a = lam_t if cl else lam
             b = mu_t if cr else mu
@@ -429,8 +460,7 @@ def small_depth_products(
     return acc
 
 
-@dataclass(frozen=True)
-class SquareLowDepth:
+class SquareLowDepth(NamedTuple):
     """Multiplicities of the depth <= 3 constituents in [lam]^2.
 
     Out-of-range coefficients are None (absent), never zero.

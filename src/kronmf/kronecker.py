@@ -22,9 +22,9 @@ before multiplying, so each distinct sub-product is read once per band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .characters import MAX_TABLE_DEGREE, kron_oracle, kron_product_oracle, table_ceiling
 from .expansion import CharacterExpansion
@@ -275,8 +275,13 @@ def multiply_expansions(
 # --- semigroup lower bounds ---
 
 
-@dataclass(frozen=True)
-class SemigroupWitness:
+class _Witness(NamedTuple):
+    kind: str
+    left_parts: tuple[Partition, Partition]
+    right_parts: tuple[Partition, Partition]
+
+
+class SemigroupWitness(_Witness):
     """A decomposition certifying a lower bound for g(lam, mu).
 
     sum-split: lam = left[0] + left[1], mu = right[0] + right[1]
@@ -285,11 +290,9 @@ class SemigroupWitness:
     with |left[0]| = |right[0]|.
     """
 
-    kind: str
-    left_parts: tuple[Partition, Partition]
-    right_parts: tuple[Partition, Partition]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.kind not in ("sum-split", "row-split"):
             raise ValueError(f"unknown witness kind {self.kind!r}")
         if self.left_parts[0].n != self.right_parts[0].n or self.left_parts[1].n != self.right_parts[1].n:
@@ -314,8 +317,7 @@ class SemigroupWitness:
         return cls("row-split", (lam_i, lam_rest), (mu_j, mu_rest))
 
 
-@dataclass(frozen=True)
-class SemigroupBound:
+class SemigroupBound(NamedTuple):
     bound: int
     parts: tuple[tuple[Partition, Partition], ...]
     target: tuple[Partition, Partition]

@@ -9,8 +9,8 @@ maintained incrementally with a single counts array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .expansion import CharacterExpansion
 from .partitions import (
@@ -148,8 +148,7 @@ def is_mf_outer(a: Partition, b: Partition) -> MfVerdict:
     return MF_NO
 
 
-@dataclass(frozen=True)
-class PathProfile:
+class PathProfile(NamedTuple):
     s_in: int
     s_out: int
     inner_is_rectangle: bool

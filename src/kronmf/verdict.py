@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MfVerdict:
+class _Verdict(NamedTuple):
+    multiplicity_free: bool
+    clause: str | None = None
+    normalization: tuple[str, ...] = ()
+
+
+class MfVerdict(_Verdict):
     """Outcome of a multiplicity-free test.
 
     ``clause`` names the matched condition and is present exactly when
@@ -14,11 +19,9 @@ class MfVerdict:
     or reductions applied to the operands before the clause matched.
     """
 
-    multiplicity_free: bool
-    clause: str | None = None
-    normalization: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.multiplicity_free and self.clause is None:
             raise ValueError("positive verdict requires a clause tag")
         if not self.multiplicity_free and self.clause is not None:

@@ -20,7 +20,6 @@ it once and adds it there, and keeps none past its row otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations_with_replacement, repeat, starmap
 from operator import add, mul
@@ -42,13 +41,26 @@ from .partitions import (
 DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 10}
 
 
-@dataclass
 class VerificationReport:
-    degree: int
-    mode: str
-    engine: str
-    pairs_checked: int
-    mismatches: list[tuple[str, str, str, str]] = field(default_factory=list)
+    """The outcome of one sweep; ``mismatches`` is a new list unless given."""
+
+    __slots__ = ("degree", "mode", "engine", "pairs_checked", "mismatches")
+
+    def __init__(
+        self,
+        degree: int,
+        mode: str,
+        engine: str,
+        pairs_checked: int,
+        mismatches: list[tuple[str, str, str, str]] | None = None,
+    ) -> None:
+        self.degree, self.mode, self.engine, self.pairs_checked = degree, mode, engine, pairs_checked
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other) -> bool:
+        return type(other) is VerificationReport and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
     @property
     def ok(self) -> bool:

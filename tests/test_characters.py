@@ -298,6 +298,17 @@ class TestPackedProduct:
         for _ in range(6):
             self.assert_matches_dot_product(rng.choice(parts), rng.choice(parts), parts)
 
+    def test_two_word_slots(self, monkeypatch):
+        # a slot is two 64-bit words at n = 16 and 20; at 20 the square of
+        # (6,5,4,3,2) holds n! g >= 2^64 in some slots, so high words are read
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "20")
+        assert characters._packed(16)[0] == characters._packed(20)[0] == 16
+        lam = P(6, 5, 4, 3, 2)
+        assert kron_product_oracle(lam, lam).max_multiplicity() * factorial(20) >= 2**64
+        self.assert_matches_dot_product(lam, lam, enumerate_partitions(20))
+        lam, mu = P(13, 2, 1), P(12, 3, 1)
+        assert kron_product_oracle(lam, mu) == kronecker.kron_product(lam, mu, "dvir")
+
     def test_slot_width_covers_n_factorial_times_the_largest_dimension(self):
         # the bound must come from the identity class (1^n), the last
         # column: the n-cycle column holds only 0 and +-1

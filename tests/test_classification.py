@@ -90,6 +90,31 @@ class TestIsMfPair:
                     assert bool(is_mf_pair(lam, mu)) == mf, (lam, mu)
                     assert bool(is_mf_pair(lam, conjugate(mu))) == mf, (lam, mu)
 
+    def test_every_clause_has_an_anchor(self, monkeypatch):
+        # with the early reject off, every positive verdict at n <= 14 has
+        # an operand that is an anchor or an anchor's conjugate, and the
+        # verdicts equal those with the reject on; a clause added without
+        # an anchor fails here
+        from kronmf import classification
+
+        def pairs():
+            for n in range(1, 15):
+                parts = enumerate_partitions(n)
+                for lam in parts:
+                    for mu in parts:
+                        yield lam, mu
+
+        expected = [is_mf_pair(lam, mu) for lam, mu in pairs()]
+        monkeypatch.setattr(classification, "_anchored", lambda p, anchors: True)
+        for (lam, mu), v in zip(pairs(), expected, strict=True):
+            assert is_mf_pair(lam, mu) == v, (lam, mu)
+            if v:
+                anchors, _ = classification._pair_clauses(lam.n)
+                assert any(
+                    len(q) <= 3 and (*q, 0, 0)[:3] in anchors
+                    for q in (lam, conjugate(lam), mu, conjugate(mu))
+                ), (lam, mu)
+
     def test_verdict_invariants(self):
         v = is_mf_pair(P(4, 2), P(4, 2))
         assert v.clause is None and not v.multiplicity_free

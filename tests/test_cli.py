@@ -258,6 +258,14 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stderr == f"error: {path}: not a kronmf cache file\n"
 
+    def test_cache_in_a_missing_directory_exit_2_before_the_sweep(self, tmp_path):
+        path = tmp_path / "missing" / "cache.jsonl"
+        with mock.patch("kronmf.verify.kron_product", side_effect=AssertionError("product computed")):
+            res = run_cli("verify", "5", "--mode", "pairs", "--cache", str(path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert str(path) in res.stderr
+
     def test_cache_malformed_record_exit_2(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         assert run_cli("verify", "4", "--mode", "pairs", "--cache", str(path)).returncode == 0
@@ -429,10 +437,18 @@ def test_long_operands_answer_without_recursion(argv, stdout):
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # the program runs in one process, and importing a pool slows every start
-    code = "import sys, kronmf.cli; print('concurrent.futures.process' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0 and res.stdout == "False\n"
+    # the program runs in one process, and every module it imports without
+    # using slows every start; compared with a bare interpreter, so that
+    # what a site hook loads does not count
+    def modules(imports):
+        code = f"import sys{imports}; print(*sys.modules, sep='\\n')"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0
+        return set(res.stdout.split())
+
+    added = modules(", kronmf.cli") - modules("")
+    assert "kronmf.cli" in added
+    assert added.isdisjoint({"concurrent.futures.process", "dataclasses", "inspect", "csv"})
 
 
 def test_verify_accepts_jobs_1_in_every_mode():

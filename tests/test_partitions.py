@@ -83,6 +83,13 @@ class TestConjugate:
         assert conjugate(EMPTY) == EMPTY
         assert conjugate(P(3, 3, 3)) == P(3, 3, 3)
 
+    def test_matches_the_cell_count_definition(self):
+        # column j of p' counts the parts longer than j; an involution
+        # test alone would pass for the identity
+        cases = [p for n in range(13) for p in enumerate_partitions(n)]
+        for p in cases + [P(*[1] * 5000), P(5000)]:
+            assert conjugate(p) == tuple(sum(part > j for part in p) for j in range(p.width)), p
+
     def test_involution_all_n_le_12(self):
         for n in range(13):
             for p in enumerate_partitions(n):

@@ -1,0 +1,103 @@
+"""The record classes: keyword construction, equality, hashing and immutability."""
+
+import pytest
+
+from kronmf.characters import CharacterTable, character_table
+from kronmf.classification import SquareLowDepth
+from kronmf.kronecker import SemigroupBound, SemigroupWitness
+from kronmf.littlewood_richardson import PathProfile
+from kronmf.partitions import Partition, ShapeClass, SkewNormalForm, SkewShape
+from kronmf.verdict import MF_NO, MfVerdict
+from kronmf.verify import VerificationReport
+
+
+def P(*parts):
+    return Partition(parts)
+
+
+def _table_fields(n):
+    t = character_table(n)
+    return dict(degree=t.degree, rows=t.rows, cols=t.cols, values=t.values, class_sizes=t.class_sizes)
+
+
+# (class, keyword arguments, the same with one field changed)
+FROZEN = [
+    (ShapeClass, dict(tag="hook", qualifiers=frozenset({"proper-hook"})), dict(tag="hook", qualifiers=frozenset())),
+    (
+        SkewNormalForm,
+        dict(basic=SkewShape(P(2, 1), P(1)), components=(SkewShape(P(1)),) * 2, rotated_equal=False, label=None),
+        dict(basic=SkewShape(P(2, 1), P(1)), components=(SkewShape(P(1)),) * 2, rotated_equal=True, label=None),
+    ),
+    (
+        PathProfile,
+        dict(s_in=2, s_out=3, inner_is_rectangle=True, outer_removable_count=1),
+        dict(s_in=2, s_out=3, inner_is_rectangle=False, outer_removable_count=1),
+    ),
+    (
+        SemigroupWitness,
+        dict(kind="sum-split", left_parts=(P(2), P(1)), right_parts=(P(1, 1), P(1))),
+        dict(kind="row-split", left_parts=(P(2), P(1)), right_parts=(P(1, 1), P(1))),
+    ),
+    (
+        SemigroupBound,
+        dict(bound=2, parts=((P(2), P(1, 1)),), target=(P(3), P(2, 1))),
+        dict(bound=1, parts=((P(2), P(1, 1)),), target=(P(3), P(2, 1))),
+    ),
+    (
+        SquareLowDepth,
+        dict(a1=1, a2=None, b2=1, a3=None, b3=2, c3=None),
+        dict(a1=1, a2=0, b2=1, a3=None, b3=2, c3=None),
+    ),
+    (
+        MfVerdict,
+        dict(multiplicity_free=True, clause="pair-case-1", normalization=("conjugate-left",)),
+        dict(multiplicity_free=True, clause="pair-case-1", normalization=()),
+    ),
+    (CharacterTable, _table_fields(4), dict(_table_fields(4), class_sizes=(1,) * 5)),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, other", FROZEN, ids=[c[0].__name__ for c in FROZEN])
+def test_frozen_record_equality_hash_and_immutability(cls, kwargs, other):
+    a, b, c = cls(**kwargs), cls(*kwargs.values()), cls(**other)
+    assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c
+    for name, value in kwargs.items():
+        assert getattr(a, name) == value
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+
+
+def test_character_table_equals_its_rebuilt_copy():
+    t = character_table(5)
+    assert CharacterTable(**_table_fields(5)) == t
+    assert t.value(P(4, 1), P(5)) == -1 and t.row(P(5)) == (1,) * 7
+
+
+def test_verdict_defaults_truth_and_invariants():
+    assert MfVerdict(False) == MfVerdict(False, None, ()) == MF_NO
+    assert bool(MF_NO) is False
+    assert bool(MfVerdict(True, "pair-case-1")) is True
+    with pytest.raises(ValueError):
+        MfVerdict(True)
+    with pytest.raises(ValueError):
+        MfVerdict(multiplicity_free=False, clause="pair-case-1")
+
+
+def test_witness_rejects_bad_kind_and_degrees():
+    with pytest.raises(ValueError):
+        SemigroupWitness(kind="diag-split", left_parts=(P(2), P(1)), right_parts=(P(2), P(1)))
+    with pytest.raises(ValueError):
+        SemigroupWitness("sum-split", (P(2), P(1)), (P(1), P(2)))
+
+
+def test_verification_report_is_mutable_and_unhashable():
+    a = VerificationReport(degree=3, mode="pairs", engine="oracle", pairs_checked=6)
+    b = VerificationReport(3, "pairs", "oracle", 6)
+    assert a == b and a.mismatches == [] and a.mismatches is not b.mismatches
+    a.mismatches.append(("3", "3", "mf", "not-mf"))
+    assert a != b and not a.ok and b.ok
+    with pytest.raises(TypeError):
+        hash(a)
+    a.pairs_checked = 7
+    assert a.pairs_checked == 7

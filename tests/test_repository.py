@@ -103,8 +103,9 @@ def test_unchecked_partitions_stay_inside_the_engines():
 
 def test_program_imports_no_process_pool():
     # the program runs in one process by design: no module may bring a
-    # pool back, at top level or inside a function
-    pools = {"concurrent.futures", "multiprocessing"}
+    # pool back, at top level or inside a function.  Nor dataclasses, which
+    # with inspect, ast and dis adds milliseconds to every start
+    pools = {"concurrent.futures", "multiprocessing", "dataclasses"}
     found = []
     for path in sorted((ROOT / "src" / "kronmf").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
