@@ -23,7 +23,7 @@ from .characters import TableCeilingError, character_table
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
 from .expansion import CharacterExpansion
 from .kronecker import ENGINES, kron_coefficient, kron_product
-from .partitions import Partition, format_partition, parse_partition, parse_skew
+from .partitions import Partition, SkewShape, format_partition, parse_partition, parse_skew
 from .verdict import MfVerdict
 from .verify import DEFAULT_CEILINGS, VERIFY_MODES
 
@@ -115,14 +115,16 @@ def _operands(*texts: str) -> list[Partition]:
     return parts
 
 
-def _render_expansion(exp: CharacterExpansion, fmt: str, left: str, right: str) -> str:
+def _render_expansion(exp: CharacterExpansion, fmt: str, left: Partition, right: Partition) -> str:
+    # operands are rendered only where the format prints them: a long one
+    # costs a walk over every part
     if fmt == "text":
         return str(exp)
     if fmt == "json":
         return json.dumps(
             {
-                "left": left,
-                "right": right,
+                "left": str(left),
+                "right": str(right),
                 "n": exp.degree,
                 "terms": [{"p": format_partition(p), "m": exp[p]} for p in exp.support()],
             },
@@ -133,9 +135,9 @@ def _render_expansion(exp: CharacterExpansion, fmt: str, left: str, right: str) 
     return "\n".join(lines)
 
 
-def _render_verdict(v: MfVerdict, fmt: str, operands: dict[str, str]) -> str:
+def _render_verdict(v: MfVerdict, fmt: str, operands: dict[str, Partition | SkewShape]) -> str:
     if fmt == "json":
-        payload = dict(operands)
+        payload = {label: str(operand) for label, operand in operands.items()}
         payload.update(
             {
                 "multiplicity_free": v.multiplicity_free,
@@ -153,7 +155,7 @@ def _render_verdict(v: MfVerdict, fmt: str, operands: dict[str, str]) -> str:
 def _cmd_kron(args) -> int:
     lam, mu = _operands(args.lam, args.mu)
     exp = kron_product(lam, mu, args.engine)
-    print(_render_expansion(exp, args.format, format_partition(lam), format_partition(mu)))
+    print(_render_expansion(exp, args.format, lam, mu))
     return 0
 
 
@@ -184,13 +186,7 @@ def _cmd_classify(args) -> int:
         verdict = is_mf_pair(lam, mu)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    print(
-        _render_verdict(
-            verdict,
-            args.format,
-            {"left": format_partition(lam), "right": format_partition(mu)},
-        )
-    )
+    print(_render_verdict(verdict, args.format, {"left": lam, "right": mu}))
     return 0 if verdict else 1
 
 
@@ -200,17 +196,7 @@ def _cmd_classify_triple(args) -> int:
         verdict = is_mf_triple(lam, mu, nu)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    print(
-        _render_verdict(
-            verdict,
-            args.format,
-            {
-                "left": format_partition(lam),
-                "middle": format_partition(mu),
-                "right": format_partition(nu),
-            },
-        )
-    )
+    print(_render_verdict(verdict, args.format, {"left": lam, "middle": mu, "right": nu}))
     return 0 if verdict else 1
 
 
@@ -223,13 +209,7 @@ def _cmd_classify_skew(args) -> int:
     if skew.size != alpha.n:
         raise CliError(f"size mismatch: |{args.skew}| = {skew.size}, |{args.alpha}| = {alpha.n}")
     verdict = is_mf_skew_times_irr(skew, alpha)
-    print(
-        _render_verdict(
-            verdict,
-            args.format,
-            {"skew": str(skew), "alpha": format_partition(alpha)},
-        )
-    )
+    print(_render_verdict(verdict, args.format, {"skew": skew, "alpha": alpha}))
     return 0 if verdict else 1
 
 

@@ -13,11 +13,13 @@ The bands' products of smaller-degree irreducibles go through this same
 sweep (recursion on strictly smaller degree), never the character
 table, so the oracle stays an independent cross-check.
 
-Three memos hold the recursion, each keyed on canonical operands:
-``_band`` (one band of a pair), ``_sweep`` (the coefficients of one
-oriented pair down to a width) and ``_dvir_product`` (one labelled
-product per pair).  A band sums its weights per canonical (sigma, tau)
-before multiplying, so each distinct sub-product is read once per band.
+One memo holds the recursion: ``_dvir_product``, one labelled product
+per pair asked.  Every sub-product a band reads goes through it,
+and a band sums its weights per canonical (sigma, tau) before
+multiplying, so each distinct sub-product is read once per band and
+built once per process.  A band is read by one sweep only, and a pair
+and its conjugate pair share one product entry, so neither bands nor
+sweeps are kept: a memo on either would hold memory and never be hit.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ def y_set(nu: Partition) -> tuple[Partition, ...]:
     return tuple(members)
 
 
-@cache
 def _band(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     """Expansion of sum over alpha |- k inside lam^mu of [lam/a].[mu/a].
 
@@ -166,19 +167,26 @@ def _dvir_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     constituents containing a.  ``g_dvir`` returns 0 below the same
     bound without sweeping.
 
-    Memoised on the canonical pair: swapped operands are sent there, so
-    both orders return one dict.  An unconjugated orientation returns
-    the ``_sweep`` dict itself, a conjugated one its relabelled copy,
-    built once.  Callers only read the result.
+    The only memo of the recursion, keyed on the pair as asked.  A pair
+    that ``_orient`` moves (swapped operands, or a conjugated
+    orientation) is answered from the entry of its oriented pair: that
+    dict itself when no label is conjugated, else its relabelled copy,
+    built once and kept under the asked pair.  Only an oriented pair
+    sweeps, so (lam, mu), (mu, lam) and (lam', mu') share one sweep.
+    This cannot loop: ``_orient`` is idempotent on its own output.  The
+    chosen pair is (lam, mu) with either, both or neither operand
+    conjugated, so its four candidates are those of (lam, mu), as a set.
+    It is its own candidate 0, which already has the largest width, and
+    a tie keeps index 0, so orienting it again returns it with flip
+    False.  Callers only read the result.
     """
-    if lam < mu:
-        return _dvir_product(mu, lam)
-    lam, mu, flip = _orient(lam, mu)
-    out = _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
-    return {conjugate(nu): g for nu, g in out.items()} if flip else out
+    olam, omu, flip = _orient(lam, mu)
+    if (olam, omu) != (lam, mu):
+        out = _dvir_product(olam, omu)
+        return {conjugate(nu): g for nu, g in out.items()} if flip else out
+    return _sweep(lam, mu, max(1, lam.row(1) + mu.row(1) - lam.n))
 
 
-@cache
 def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
     """Every nonzero g(lam, mu, nu) with nu_1 >= low, by decreasing width.
 
@@ -212,6 +220,13 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
     width nu_1, with nu conjugated when the labels are: g(lam, mu', nu)
     = g(lam, mu, nu').  Below the Mackey bound nu_1 >= lam_1 + mu_1 - n
     (see ``_dvir_product``) the coefficient is 0 and nothing is swept.
+
+    Nothing is kept between calls (its sub-products are, through
+    ``_dvir_product``): at n = 12 one full sweep costs about 100 times a
+    top-width coefficient, so a single coefficient does not sweep the
+    whole product.  Asking every nu of one pair this way sweeps the
+    bands again per call; a caller that needs every coefficient of a
+    pair uses ``kron_product``, which sweeps once.
     """
     if not (lam.n == mu.n == nu.n):
         raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")

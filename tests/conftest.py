@@ -3,18 +3,45 @@
 Every oracle here recomputes its answer from first principles (naive
 enumeration, the Frobenius coefficient formula, permutation censuses)
 so the production code paths have something honest to be checked
-against.
+against.  One fixture, ``cold_memos``, starts a test from empty memos.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import kronmf  # noqa: E402
 from kronmf.partitions import Partition, SkewShape  # noqa: E402
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty every memo of the package; return them by ``module.name``.
+
+    A memo is any module-level function with a ``cache_clear``, found in
+    every ``kronmf`` module and keyed where it is defined, so a memo
+    imported into another module is listed once and none is left out
+    of a hand-kept list.
+    """
+    memos = {}
+    for info in pkgutil.iter_modules(kronmf.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"kronmf.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = obj
+    for memo in memos.values():
+        memo.cache_clear()
+    return memos
 
 
 def brute_lr_tally(shape: SkewShape, prune: bool = False) -> dict[Partition, int]:

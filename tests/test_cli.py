@@ -140,6 +140,43 @@ class TestClassify:
         assert blob["multiplicity_free"] is True and blob["clause"] == "pair-case-6"
 
 
+@pytest.mark.parametrize("argv, stdout", [
+    (("kron", "2,2", "2,2"), "[4] + [2,2] + [1^4]\n"),
+    (("classify", "3,3", "4,1,1"), "multiplicity-free  clause=pair-case-4  normalization=none\n"),
+    (("classify", "4,2", "4,2"), "not multiplicity-free\n"),
+    (("classify-triple", "4", "2,2", "3,1"),
+     "multiplicity-free  clause=triple-reduced:pair-case-2  normalization=linear-reduction\n"),
+    (("classify-skew", "3,2/1", "2,2"), "multiplicity-free  clause=skew-irr-case-3  normalization=none\n"),
+])
+def test_text_output_renders_no_operand(argv, stdout, monkeypatch):
+    # text output never prints an operand, so none is rendered: rendering
+    # 1^1000000 alone walks a million parts
+    import kronmf.cli
+
+    rendered = []
+    render = kronmf.cli.format_partition
+    monkeypatch.setattr(kronmf.cli, "format_partition", lambda p: rendered.append(p) or render(p))
+    assert run_cli(*argv).stdout == stdout
+    assert rendered == []
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (("kron", "3,2", "3,1,1"),
+     '{"left":"3,2","right":"3,1,1","n":5,"terms":[{"p":"4,1","m":1},{"p":"3,2","m":1},'
+     '{"p":"3,1,1","m":2},{"p":"2,2,1","m":1},{"p":"2,1^3","m":1}]}\n'),
+    (("classify", "1^5", "4,1"),
+     '{"left":"1^5","right":"4,1","multiplicity_free":true,"clause":"pair-case-1",'
+     '"normalization":["conjugate-left"]}\n'),
+    (("classify-triple", "4", "2,2", "3,1"),
+     '{"left":"4","middle":"2,2","right":"3,1","multiplicity_free":true,'
+     '"clause":"triple-reduced:pair-case-2","normalization":["linear-reduction"]}\n'),
+    (("classify-skew", "3,2/1", "2,2"),
+     '{"skew":"3,2/1","alpha":"2,2","multiplicity_free":true,"clause":"skew-irr-case-3","normalization":[]}\n'),
+])
+def test_json_output_renders_the_operands(argv, stdout):
+    assert run_cli(*argv, "--format", "json").stdout == stdout
+
+
 class TestTable:
     def test_text_contains_class_sizes(self):
         res = run_cli("table", "3")

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kronmf import characters, classification, kronecker, partitions
+from kronmf import characters, classification, kronecker
 from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import (
@@ -38,6 +38,14 @@ from kronmf.partitions import (
 
 def P(*parts):
     return Partition(parts)
+
+
+def _calls(monkeypatch, name):
+    """Record the arguments of every call to ``kronecker.<name>``."""
+    calls = []
+    kernel = getattr(kronecker, name)
+    monkeypatch.setattr(kronecker, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
 
 
 class TestMaxWidth:
@@ -135,21 +143,34 @@ class TestDvir:
         assert results[: len(nus)] == results[len(nus):]
         assert results[: len(nus)] == [kron_oracle(lam, mu, nu) for nu in nus]
 
-    def test_swapped_operands_reuse_the_memo(self):
+    def test_swapped_operands_reuse_the_memo(self, cold_memos, monkeypatch):
+        # (lam, mu), (mu, lam) and (lam', mu') orient to one pair, so the
+        # three products make one sweep at degree n between them; the
+        # sweeps of lower degree are the sub-products of its bands
         lam, mu, nu = P(4, 2, 1), P(3, 3, 1), P(3, 2, 2)
-        assert kron_product_oracle(lam, mu) == kron_product_oracle(mu, lam)
-        assert kronecker._dvir_product(lam, mu) is kronecker._dvir_product(mu, lam)
-        g_dvir(lam, mu, nu)
-        hits = kronecker._sweep.cache_info().hits
-        g_dvir(mu, lam, nu)
-        assert kronecker._sweep.cache_info().hits == hits + 1
+        sweeps = _calls(monkeypatch, "_sweep")
+        pairs = [(lam, mu), (mu, lam), (conjugate(lam), conjugate(mu))]
+        assert all(kron_product(a, b, "dvir") == kron_product_oracle(a, b) for a, b in pairs)
+        assert [key for key in sweeps if key[0].n == lam.n] == [(lam, mu, 1)]
+        product = kronecker._dvir_product(lam, mu)
+        assert all(kronecker._dvir_product(a, b) is product for a, b in pairs)
+        assert g_dvir(lam, mu, nu) == g_dvir(mu, lam, nu) == product[nu]
 
-    def test_below_the_mackey_bound_sweeps_nothing(self):
+    def test_below_the_mackey_bound_sweeps_nothing(self, monkeypatch):
         # nu_1 = 20 < 38 + 37 - 40 = 35; the whole product builds 42 bands
-        for kernel in (kronecker._band, kronecker._sweep, kronecker._dvir_product):
-            kernel.cache_clear()
+        bands, sweeps = _calls(monkeypatch, "_band"), _calls(monkeypatch, "_sweep")
         assert g_dvir(P(38, 2), P(37, 3), P(20, 20)) == 0
-        assert kronecker._band.cache_info().misses <= 42
+        assert bands == sweeps == []
+
+    def test_orient_is_idempotent(self):
+        # _dvir_product sweeps only a pair that orients to itself, and
+        # sends every other pair there: that must end in one step
+        for n in range(11):
+            parts = enumerate_partitions(n)
+            for lam in parts:
+                for mu in parts:
+                    olam, omu, _ = kronecker._orient(lam, mu)
+                    assert kronecker._orient(olam, omu) == (olam, omu, False)
 
     def test_murnaghan_stability(self):
         # g(lam-bar[n], mu-bar[n], nu-bar[n]) is constant for large n; with
@@ -169,43 +190,59 @@ class TestDvir:
     @pytest.mark.parametrize(
         "lam_bar, mu_bar, terms", [((2,), (3,), 12), ((2, 1), (2, 2), 33)]
     )
-    def test_product_work_is_independent_of_n(self, lam_bar, mu_bar, terms, monkeypatch):
+    def test_product_work_is_independent_of_n(self, lam_bar, mu_bar, terms, cold_memos, monkeypatch):
         # A timing-free gate: the sweep visits only band supports inside
-        # the depth window, so the memo misses of a depth-bounded product
-        # do not grow with n.  Enumerating all p(n) partitions would.
-        kernels = (kronecker._band, kronecker._sweep, kronecker._dvir_product)
-        corrections = []
-        y_set_ = kronecker.y_set
-        monkeypatch.setattr(kronecker, "y_set", lambda nu: corrections.append(nu) or y_set_(nu))
+        # the depth window, so the band and sweep calls and the memo
+        # misses of a depth-bounded product do not grow with n.
+        # Enumerating all p(n) partitions would.
+        bands, sweeps = _calls(monkeypatch, "_band"), _calls(monkeypatch, "_sweep")
+        corrections = _calls(monkeypatch, "y_set")
 
         def work_at(n):
-            for kernel in kernels:
-                kernel.cache_clear()
-            corrections.clear()
+            for memo in cold_memos.values():
+                memo.cache_clear()
+            for calls in (bands, sweeps, corrections):
+                calls.clear()
             lam = P(n - sum(lam_bar), *lam_bar)
             mu = P(n - sum(mu_bar), *mu_bar)
             assert len(kronecker._dvir_product(lam, mu)) == terms
-            return [kernel.cache_info().misses for kernel in kernels], len(corrections)
+            return len(bands), len(sweeps), kronecker._dvir_product.cache_info().misses, len(corrections)
 
         at_20 = work_at(20)
         # fewer Y(nu) corrections than p(20) = 627: a full sweep fails
         # here in seconds instead of running for hours at n = 60
-        assert at_20[1] < len(enumerate_partitions(20))
+        assert at_20[-1] < len(enumerate_partitions(20))
         assert work_at(60) == at_20
 
     @pytest.mark.parametrize("lam, mu", [(P(4, 3, 2), P(4, 3, 2)), (P(5, 3, 2, 1), P(4, 4, 2, 1))])
-    def test_band_reads_each_distinct_pair_once(self, lam, mu, monkeypatch):
+    def test_band_reads_each_distinct_pair_once(self, lam, mu, cold_memos, monkeypatch):
         # [sigma].[tau] = [tau].[sigma] and the band is linear in its
         # terms, so a band asks for each canonical (sigma, tau) once,
         # however many (alpha, sigma, tau) terms share it
-        for kernel in (kronecker._band, kronecker._sweep, kronecker._dvir_product):
-            kernel.cache_clear()
+        # only the reads a band makes itself count: a moved pair's step
+        # to its oriented pair, inside _dvir_product, is not one
         band, product = kronecker._band, kronecker._dvir_product
-        bands, asked = set(), []
-        monkeypatch.setattr(kronecker, "_band", lambda *key: bands.add(key) or band(*key))
-        monkeypatch.setattr(
-            kronecker, "_dvir_product", lambda a, b: asked.append(canonical_pair(a, b)) or product(a, b)
-        )
+        bands, asked, inside = set(), [], []
+
+        def band_(*key):
+            bands.add(key)
+            inside.append("band")
+            try:
+                return band(*key)
+            finally:
+                inside.pop()
+
+        def product_(a, b):
+            if inside[-1:] == ["band"]:
+                asked.append(canonical_pair(a, b))
+            inside.append("product")
+            try:
+                return product(a, b)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(kronecker, "_band", band_)
+        monkeypatch.setattr(kronecker, "_dvir_product", product_)
         assert product(lam, mu) == dict(kron_product_oracle(lam, mu).items())
         expected = Counter()
         for outer_l, outer_m, k in bands:
@@ -216,6 +253,22 @@ class TestDvir:
                 for tau in _lr_counts(outer_m, alpha)
             })
         assert Counter(asked) == expected
+
+    def test_every_memo_that_grows_is_hit(self, cold_memos):
+        # a memo that fills and is never read only holds memory
+        from kronmf.verify import verify_engines
+
+        engine_memos = {
+            name: memo for name, memo in cold_memos.items()
+            if name.split(".")[0] in ("kronecker", "littlewood_richardson")
+        }
+        assert {"kronecker._dvir_product", "littlewood_richardson._lr_counts"} <= set(engine_memos)
+        assert verify_engines(8).ok
+        idle = [
+            name for name, memo in engine_memos.items()
+            if memo.cache_info().currsize and not memo.cache_info().hits
+        ]
+        assert idle == []
 
     def test_products_frozen_on_seeded_tail_6_pairs(self):
         # six seeded pairs with tail n - lam_1 = 6 at n = 30, where the
@@ -451,22 +504,21 @@ class TestEngineIndependence:
     """The oracle never calls Dvir, Dvir never touches a character table,
     and the closed forms of ``classification`` use neither engine.
 
-    Each test empties the memos on both sides first, so every product is
-    computed while the refused engine's kernels are replaced by a refusal.
+    Each test empties every memo of the package first, so every product
+    is computed while the refused engine's kernels are replaced by a
+    refusal.
     """
 
-    @staticmethod
-    def _cold(monkeypatch, *kernels):
-        for memo in (characters._table, characters._packed, characters._class_weights,
-                     partitions.skew_normalize, kronecker._sweep, kronecker._band,
-                     kronecker._dvir_product):
-            memo.cache_clear()
-
+    @pytest.fixture
+    def _cold(self, cold_memos, monkeypatch):
         def refuse(*args):
             raise AssertionError(f"a refused engine kernel was called with {args}")
 
-        for module, name in kernels:
-            monkeypatch.setattr(module, name, refuse)
+        def refuse_kernels(*kernels):
+            for module, name in kernels:
+                monkeypatch.setattr(module, name, refuse)
+
+        return refuse_kernels
 
     @staticmethod
     def _every_product(engine):
@@ -476,28 +528,27 @@ class TestEngineIndependence:
                 for mu in parts[i:]:
                     kron_product(lam, mu, engine)
 
-    def test_dvir_never_touches_a_table(self, monkeypatch):
+    def test_dvir_never_touches_a_table(self, _cold):
         from kronmf.verify import verify_pairs, verify_skew, verify_triples
 
-        self._cold(monkeypatch, (characters, "_table"))
+        _cold((characters, "_table"))
         self._every_product("dvir")
         assert verify_pairs(8, engine="dvir").ok
         assert verify_skew(5, engine="dvir").ok
         assert verify_triples(6, engine="dvir").ok
 
-    def test_oracle_never_calls_dvir(self, monkeypatch):
+    def test_oracle_never_calls_dvir(self, _cold):
         from kronmf.verify import verify_pairs, verify_skew, verify_triples
 
-        self._cold(monkeypatch, (kronecker, "_sweep"), (kronecker, "_band"),
-                   (kronecker, "_dvir_product"))
+        _cold((kronecker, "_sweep"), (kronecker, "_band"), (kronecker, "_dvir_product"))
         self._every_product("oracle")
         assert verify_pairs(8, engine="oracle").ok
         assert verify_skew(5, engine="oracle").ok
         assert verify_triples(6, engine="oracle").ok
 
-    def test_closed_forms_need_no_engine(self, monkeypatch):
-        self._cold(monkeypatch, (characters, "_table"), (characters, "_packed"),
-                   (kronecker, "_sweep"), (kronecker, "_band"), (kronecker, "_dvir_product"))
+    def test_closed_forms_need_no_engine(self, _cold):
+        _cold((characters, "_table"), (characters, "_packed"),
+              (kronecker, "_sweep"), (kronecker, "_band"), (kronecker, "_dvir_product"))
         for k in range(1, 7):
             for b in range(2 * k):
                 for nu in enumerate_partitions(2 * k):

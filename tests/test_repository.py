@@ -75,9 +75,11 @@ def test_character_kernels_memoised_for_the_process():
 
 
 def test_dvir_kernels_memoised_for_the_process():
-    # the recursion keeps bands, sweeps and labelled products; Y(nu) is
-    # rebuilt per correction rather than held
-    assert _memoised("kronecker") == {"_band", "_sweep", "_dvir_product"}
+    # the recursion keeps only labelled products: a band is read by one
+    # sweep, and a pair's aliases reach its sweep through the product
+    # memo, so a memo on either would never be hit.  Y(nu) is rebuilt
+    # per correction rather than held
+    assert _memoised("kronecker") == {"_dvir_product"}
 
 
 def _mentions(tree, name):
