@@ -7,7 +7,9 @@ skew characters of smaller degree, and lower widths follow from the
 band sums with corrections over the horizontal-strip set Y(nu).  All
 corrections have a strictly larger first part, so one width sweep, by
 decreasing width, settles every coefficient: a whole product and a
-single coefficient both come from it.
+single coefficient both come from it.  A correction is read from the
+swept coefficients by key, one lookup per member of Y(nu), and no member
+is built (see ``_correction``); ``y_set`` is the definition it follows.
 
 The bands' products of smaller-degree irreducibles go through this same
 sweep (recursion on strictly smaller degree), never the character
@@ -81,17 +83,16 @@ def y_set(nu: Partition) -> tuple[Partition, ...]:
     the interleaving, and every part but the last is at least nu_ell > 0.
     The last range starts at nu_{ell+1} = 0, so a member ends in at most
     one zero: it is stripped and the member built unchecked.
+    The head needs no test: each tail part is at most nu_i, so the head
+    n - sum(tail) is at least nu_1 >= nu_2.
     """
     n = nu.n
     ell = len(nu)
-    second = nu.row(2)
     members = []
     ranges = [range(nu.row(i + 1), nu.row(i) + 1) for i in range(2, ell + 1)]
     for tail in iproduct(*ranges):
-        head = n - sum(tail)
-        if head >= second:
-            parts = (head,) + tail
-            members.append(_unchecked(parts if parts[-1] else parts[:-1]))
+        parts = (n - sum(tail),) + tail
+        members.append(_unchecked(parts if parts[-1] else parts[:-1]))
     members.sort(reverse=True)
     return tuple(members)
 
@@ -192,25 +193,62 @@ def _sweep(lam: Partition, mu: Partition, low: int) -> dict[Partition, int]:
 
     At width k the candidates nu = (k, nu-hat) come from the support of
     the band (see ``_band``), and g(lam, mu, nu) is band_k[nu-hat] minus
-    g(lam, mu, eta) over the other eta in Y(nu).  Those eta are wider
-    than nu, so the widths already swept hold every nonzero one in
-    ``out``; eta wider than |lam ^ mu| have g = 0 and are never there,
-    and nu itself is not there yet.  nu-hat is a partition no wider
-    than k, so nu = (k, nu-hat) is one and is built unchecked.
+    g(lam, mu, eta) over the other eta in Y(nu), which ``_correction``
+    reads from ``out`` by key.  That sum is sound:
+
+    - Y(nu) is the box of tails eta-hat with nu_{i+1} <= eta_i <= nu_i
+      for 2 <= i <= ell (nu_{ell+1} = 0, and the interleaving at i = ell
+      leaves eta no part past ell), each with head eta_1 = n - |eta-hat|.
+      The box bounds are the interleaving conditions of ``y_set`` for
+      i >= 2, and the one left, eta_1 >= nu_2, always holds: every tail
+      part is at most nu_i, so eta_1 >= n - |nu-hat| = nu_1 >= nu_2,
+      with equality in the first step iff eta-hat = nu-hat.
+    - So every other member is wider than nu, and the widths already
+      swept hold each nonzero g(lam, mu, eta) in ``out``; nu itself is
+      not there yet, so summing the whole box subtracts nothing extra.
+    - eta wider than |lam ^ mu| have g = 0 and are never keys of
+      ``out``, so their lookups read 0.
+
+    nu-hat is a partition no wider than k, so nu = (k, nu-hat) is one;
+    it is built, unchecked, only for a nonzero coefficient.
     """
     if lam.n == 0:
         return {EMPTY: 1}
+    n = lam.n
     out: dict[Partition, int] = {}
     for k in range(intersect(lam, mu).n, low - 1, -1):
         for nu_hat, total in _band(lam, mu, k).items():
             if nu_hat.width <= k:
-                nu = _unchecked((k,) + nu_hat)
-                g = total - sum(out.get(eta, 0) for eta in y_set(nu))
-                if g < 0:
-                    raise DvirInvariantError(f"negative coefficient {g} at g({lam}, {mu}, {nu})")
+                g = total - _correction(out, n, nu_hat)
                 if g:
+                    nu = _unchecked((k,) + nu_hat)
+                    if g < 0:
+                        raise DvirInvariantError(f"negative coefficient {g} at g({lam}, {mu}, {nu})")
                     out[nu] = g
     return out
+
+
+def _correction(out: dict[Partition, int], n: int, nu_hat: Partition) -> int:
+    """Sum of out[eta] over eta in Y(nu), nu = (n - |nu-hat|, nu-hat), by key.
+
+    Walks the box of tails of ``_sweep``'s docstring and looks up each
+    plain tuple (n - |tail|, *tail): a Partition hashes and compares as
+    its tuple, so no member is built, validated or sorted.  Only the
+    last range starts at 0, so it is split off: its 0 drops the last
+    part, as ``y_set`` strips it.  For nu = (n), Y(nu) = {nu}, and the
+    sweep has not stored nu yet: the sum is 0.
+    """
+    if not nu_hat:
+        return 0
+    get = out.get
+    last = nu_hat[-1]
+    total = 0
+    for prefix in iproduct(*[range(lo, hi + 1) for hi, lo in zip(nu_hat, nu_hat[1:])]):
+        head = n - sum(prefix)
+        total += get((head,) + prefix, 0)
+        for part in range(1, last + 1):
+            total += get((head - part,) + prefix + (part,), 0)
+    return total
 
 
 def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -12,7 +12,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from functools import cache, lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -25,22 +25,28 @@ class Partition(tuple):
     anything not weakly decreasing and positive is rejected.  Equality,
     ordering and hashing are inherited from tuple, so two equal
     partitions always hash identically.
+
+    The check runs in C: a weakly decreasing tuple whose last part is
+    positive has every part positive.  Only a rejected tuple is walked
+    in Python, to name its first bad part in the message.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
-        end = len(parts)
-        while end and parts[end - 1] == 0:
-            end -= 1
-        parts = parts[:end]
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError(f"partition parts must be positive, got {p}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts not weakly decreasing: {parts}")
-        return super().__new__(cls, parts)
+        if parts and not parts[-1]:
+            end = len(parts) - 1
+            while end and parts[end - 1] == 0:
+                end -= 1
+            parts = parts[:end]
+        if parts and (parts[-1] < 0 or any(map(operator.lt, parts, parts[1:]))):
+            for i, p in enumerate(parts):
+                if p <= 0:
+                    raise ValueError(f"partition parts must be positive, got {p}")
+                if i and parts[i - 1] < p:
+                    raise ValueError(f"parts not weakly decreasing: {parts}")
+        return tuple.__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -537,7 +543,7 @@ def parse_partition(text: str) -> Partition:
     if size > MAX_PARSED_SIZE:
         raise ValueError(f"{text!r}: size {size} exceeds the bound of {MAX_PARSED_SIZE} cells")
     try:
-        return Partition([a for a, b in terms for _ in range(b)])
+        return Partition(chain.from_iterable(repeat(a, b) for a, b in terms))
     except ValueError as exc:
         raise ValueError(f"{text!r}: {exc}") from None
 

@@ -162,6 +162,20 @@ class TestDvir:
         assert g_dvir(P(38, 2), P(37, 3), P(20, 20)) == 0
         assert bands == sweeps == []
 
+    def test_correction_reads_y_set_by_key(self):
+        # the sweep subtracts out[eta] over eta in Y(nu) other than nu, and
+        # never holds nu yet; the dicts also hold keys outside Y(nu)
+        rng = random.Random(20)
+        for n in range(1, 11):
+            parts = enumerate_partitions(n)
+            for nu in parts:
+                others = [eta for eta in parts if eta != nu]
+                members = [eta for eta in y_set(nu) if eta != nu]
+                for size in (0, len(others) // 2, len(others)):
+                    out = {eta: rng.randint(1, 9) for eta in rng.sample(others, size)}
+                    expected = sum(out.get(eta, 0) for eta in members)
+                    assert kronecker._correction(out, n, P(*nu[1:])) == expected, (nu, out)
+
     def test_orient_is_idempotent(self):
         # _dvir_product sweeps only a pair that orients to itself, and
         # sends every other pair there: that must end in one step
@@ -196,7 +210,7 @@ class TestDvir:
         # misses of a depth-bounded product do not grow with n.
         # Enumerating all p(n) partitions would.
         bands, sweeps = _calls(monkeypatch, "_band"), _calls(monkeypatch, "_sweep")
-        corrections = _calls(monkeypatch, "y_set")
+        corrections = _calls(monkeypatch, "_correction")
 
         def work_at(n):
             for memo in cold_memos.values():
@@ -301,6 +315,41 @@ class TestDvir:
                 mu = P(n - d, *bar)
                 expected = classification.product_with_natural(mu).conjugate()
                 assert kron_product(mu, natural_conjugate, "dvir") == expected, mu
+
+
+_TAILS = [p for d in range(4) for p in enumerate_partitions(d)]
+_TAIL_PAIRS = [(a, b) for i, a in enumerate(_TAILS) for b in _TAILS[i:]]
+
+
+class TestStability:
+    """Murnaghan's stability as a gate that rests on a theorem, not an engine.
+
+    With lam[n] = (n - |lam-bar|, lam-bar), the product [lam[n]].[mu[n]],
+    first rows stripped, is the same for every n >= N0 = |lam-bar| +
+    |mu-bar| + lam-bar_1 + mu-bar_1 (Briand, Orellana and Rosas, J.
+    Algebra 331, 2011).  So the classification is checked at every
+    degree from N0 on, for each pair of tails below.
+    """
+
+    @pytest.mark.parametrize("lam_bar, mu_bar", _TAIL_PAIRS, ids=lambda bar: str(bar) or "0")
+    def test_product_settles_by_the_bound(self, lam_bar, mu_bar):
+        def pad(bar, n):
+            return P(n - bar.n, *bar)
+
+        def stripped(product):
+            return {P(*nu[1:]): g for nu, g in product.items()}
+
+        n0 = lam_bar.n + mu_bar.n + lam_bar.width + mu_bar.width
+        stable = kron_product(pad(lam_bar, n0), pad(mu_bar, n0), "dvir")
+        # the two engines agree where both reach: every N0 here is <= 12
+        assert stable == kron_product_oracle(pad(lam_bar, n0), pad(mu_bar, n0))
+        for n in (n0 + 1, 10**3, 10**6):
+            assert stripped(kron_product(pad(lam_bar, n), pad(mu_bar, n), "dvir")) == stripped(stable), n
+        verdict = stable.max_multiplicity() == 1
+        # the predicate is defined from degree 1; N0 = 0 only for two empty tails
+        for n in (n0, n0 + 1, 10**3, 10**6):
+            if n:
+                assert bool(classification.is_mf_pair(pad(lam_bar, n), pad(mu_bar, n))) == verdict, n
 
 
 class TestKronProduct:

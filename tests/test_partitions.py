@@ -59,6 +59,30 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
+    def test_rejection_names_the_first_bad_part(self):
+        # the check runs in C, and a rejected tuple is walked in order to
+        # name its first part that is not positive or rises
+        def first_fault(parts):
+            for i, p in enumerate(parts):
+                if p <= 0:
+                    return f"partition parts must be positive, got {p}"
+                if i and parts[i - 1] < p:
+                    return f"parts not weakly decreasing: {parts}"
+            return None
+
+        for length in range(1, 6):
+            for parts in product(range(-1, 3), repeat=length):
+                kept = parts
+                while kept and kept[-1] == 0:
+                    kept = kept[:-1]
+                message = first_fault(kept)
+                if message is None:
+                    assert Partition(parts) == kept
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        Partition(parts)
+                    assert str(exc.value) == message, parts
+
     def test_rejects_non_integer_parts(self):
         for parts in ([2.7, 1], [2.0, 1], "321", ("3", "2")):
             with pytest.raises(TypeError):
@@ -388,6 +412,7 @@ class TestGrammar:
 
     def test_parse_sizes_before_expanding(self):
         assert parse_partition("1000000").n == MAX_PARSED_SIZE
+        assert parse_partition("1^1000000") == (1,) * MAX_PARSED_SIZE
         assert parse_partition("2^499999,1,1").n == MAX_PARSED_SIZE
         # none of these is ever expanded: 10^12 parts, a 10^9-wide row
         for big in ("1000001", "2^500000,1", "1^1000000000000", "1000000000", "5,4/1^10000000"):

@@ -77,8 +77,8 @@ def test_character_kernels_memoised_for_the_process():
 def test_dvir_kernels_memoised_for_the_process():
     # the recursion keeps only labelled products: a band is read by one
     # sweep, and a pair's aliases reach its sweep through the product
-    # memo, so a memo on either would never be hit.  Y(nu) is rebuilt
-    # per correction rather than held
+    # memo, so a memo on either would never be hit.  A Y(nu) correction
+    # reads the sweep's own coefficients by key, and nothing is held
     assert _memoised("kronecker") == {"_dvir_product"}
 
 
