@@ -18,9 +18,10 @@ independent reference for the table.  All values are exact Python
 integers.  Three kernels are memoised with ``functools.cache`` for the
 life of the process, one entry per degree:
 ``_table`` (one table), ``_packed`` (the same table packed by columns,
-built on the first product of a degree, never by ``character_table``)
-and ``_class_weights`` (the class sizes and the class-weighted column
-sums, built on the first ``is_mf_class_function`` of a degree).
+and the rows' dimensions, built on the first product of a degree, never
+by ``character_table``) and ``_class_weights`` (the class sizes and the
+class-weighted column sums, built on the first ``is_mf_class_function``
+of a degree).
 Products from ``kron_product_oracle`` and single values from
 ``character_value`` are recomputed on each call.
 
@@ -394,8 +395,13 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 @cache
-def _packed(n: int) -> tuple[int, tuple[int, ...]]:
-    """The degree-n table packed by columns: (slot bytes, P_rho per column).
+def _packed(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The degree-n table packed by columns: (slot bytes, P_rho per column,
+    dim nu per row).
+
+    The dimensions come from the hook length formula, not from the
+    table, so the dimension check of ``kron_product_oracle`` rests on
+    nothing the table computed.
 
     P_rho = sum over rows nu of chi^nu(rho) * 2^(B * i_nu), i_nu being the
     row index of nu and B = 8 * slot bytes.  So sum over rho of
@@ -441,7 +447,7 @@ def _packed(n: int) -> tuple[int, tuple[int, ...]]:
             slots.byteswap()
         a = int.from_bytes(slots, "little")
         columns.append(a - ((a & sign_bits) << 1))
-    return 8 * words, tuple(columns)
+    return 8 * words, tuple(columns), tuple(map(dimension, t.rows))
 
 
 def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
@@ -455,12 +461,16 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     the strided slice [j::W], and folding those slices from the top word
     down, high << 64 | low, rebuilds every slot: W C-level slices in
     place of p(n) byte slices turned into ints one at a time.
+
+    Every product is checked: Σ g dim nu = dim lam dim mu, read as one
+    C-level sum over the slots, n! g times the hook-length dim nu,
+    against n! dim lam dim mu.
     """
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     n = lam.n
     t = character_table(n)
-    slot, columns = _packed(n)
+    slot, columns, dims = _packed(n)
     nfact = factorial(n)
     weights = map(mul, map(mul, t.class_sizes, t.row(lam)), t.row(mu))
     words = array("Q", sum(map(mul, weights, columns)).to_bytes(slot * len(t.rows), "little"))
@@ -476,9 +486,8 @@ def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
             g, rem = divmod(total, nfact)
             assert rem == 0 and g >= 0
             terms[nu] = g
-    out = CharacterExpansion(n, terms, _trusted=True)
-    assert out.total_dimension() == dimension(lam) * dimension(mu)
-    return out
+    assert sum(map(mul, totals, dims)) == nfact * dimension(lam) * dimension(mu)
+    return CharacterExpansion(n, terms, _trusted=True)
 
 
 @cache

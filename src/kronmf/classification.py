@@ -213,8 +213,9 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     alpha to be (k,k), tagged "conjugate-irr" when its conjugate (2^k)
     is.
     """
-    if s.size != alpha.n:
-        raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {alpha.n}")
+    n = alpha.n
+    if s.size != n:
+        raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {n}")
     norm = skew_normalize(s)
     basic = norm.basic
     if basic.size == 0:
@@ -225,7 +226,7 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
             return MfVerdict(True, f"skew-irr-reduced:{sub.clause}", sub.normalization)
         return MF_NO
 
-    case_3_alphas, kk, case_2, case_3_target = _skew_clauses(alpha.n)
+    case_3_alphas, kk, case_2, case_3_target = _skew_clauses(n)
     case_3 = alpha in case_3_alphas
     # every clause below needs alpha linear, a rectangle or case-3 shaped
     # (a linear alpha is a rectangle); expand the skew shape only then

@@ -22,8 +22,10 @@ class CharacterExpansion:
 
     def __init__(self, degree: int, terms: Mapping[Partition, int], *, _trusted: bool = False):
         if _trusted:
-            # an engine's own product: a dict of nonzero terms, handed over,
-            # whose labels the engine drew from the partitions of degree
+            # an engine's own product or LR tally: a dict of nonzero terms,
+            # handed over, whose labels are partitions of degree by
+            # construction.  No method changes _terms in place, so the
+            # dict may be a memo's own
             self.degree, self._terms = degree, terms
             return
         for p in terms:

@@ -36,7 +36,10 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
 
     A content is the counts of a lattice word: every value v > 1 is
     placed only while counts[v - 1] > counts[v], so the nonzero counts
-    are weakly decreasing and each content is built unchecked.
+    are weakly decreasing and each content is built unchecked.  A
+    filling is tallied under the counts array itself, copied in C; each
+    distinct array has one content, built once at the end, so the
+    contents keep the order in which they were first met.
     """
     spans = [(inner.row(i), outer[i - 1]) for i in range(1, len(outer) + 1)]
     cells: list[tuple[int, bool, bool]] = []  # (row, has_right_in_shape, has_above_in_shape)
@@ -46,10 +49,9 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
             has_above = i > 1 and spans[i - 2][0] < j <= spans[i - 2][1]
             cells.append((i, has_right, has_above))
     ncells = len(cells)
-    tally: dict[Partition, int] = {}
     if ncells == 0:
-        tally[EMPTY] = 1
-        return tally
+        return {EMPTY: 1}
+    tally: dict[tuple[int, ...], int] = {}
 
     nrows = len(spans)
     counts = [0] * (nrows + 2)
@@ -85,20 +87,26 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
                 k += 1
                 v = values[above_of[k]] + 1 if above_of[k] >= 0 else 1
                 continue
-            content = _unchecked(c for c in counts if c)
-            tally[content] = tally.get(content, 0) + 1
+            key = tuple(counts)
+            tally[key] = tally.get(key, 0) + 1
         elif k:
             k -= 1
             v = values[k]
         else:
-            return tally
+            return {_unchecked(c for c in key if c): m for key, m in tally.items()}
         counts[v] -= 1
         v += 1
 
 
 def skew_expand(s: SkewShape) -> CharacterExpansion:
-    """Decompose the skew character of s into irreducibles."""
-    return CharacterExpansion(s.size, _lr_counts(s.outer, s.inner))
+    """Decompose the skew character of s into irreducibles.
+
+    The memoised tally is handed over as a trusted expansion, unchecked
+    and uncopied: every content is a partition of |s| (one count per
+    cell), every tally is positive, and no expansion changes its terms
+    in place.
+    """
+    return CharacterExpansion(s.size, _lr_counts(s.outer, s.inner), _trusted=True)
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:

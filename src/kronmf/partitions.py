@@ -358,25 +358,27 @@ def split_rows(p: Partition, index_set: Iterable[int]) -> tuple[Partition, Parti
 
 
 class SkewShape:
-    """A nested pair of partitions outer/inner, inner padded with zeros."""
+    """A nested pair of partitions outer/inner, inner padded with zeros.
 
-    __slots__ = ("outer", "inner")
+    ``size``, the number of cells, is set once at construction.
+    """
+
+    __slots__ = ("outer", "inner", "size")
 
     def __init__(self, outer, inner=()):
         outer = outer if isinstance(outer, Partition) else Partition(outer)
         inner = inner if isinstance(inner, Partition) else Partition(inner)
         if not outer.contains(inner):
-            raise ValueError(f"inner {inner!r} not contained in outer {outer!r}")
+            raise ValueError(
+                f"inner {format_partition(inner)!r} not contained in outer {format_partition(outer)!r}"
+            )
         self.outer = outer
         self.inner = inner
-
-    @property
-    def size(self) -> int:
-        return self.outer.n - self.inner.n
+        self.size = outer.n - inner.n
 
     def row_spans(self) -> list[tuple[int, int]]:
         """Per row: half-open column span (start, end) of the cells."""
-        return [(self.inner.row(i), self.outer[i - 1]) for i in range(1, len(self.outer) + 1)]
+        return list(zip(chain(self.inner, repeat(0)), self.outer))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewShape) and self.outer == other.outer and self.inner == other.inner
@@ -391,6 +393,24 @@ class SkewShape:
         return f"SkewShape({tuple(self.outer)!r}, {tuple(self.inner)!r})"
 
 
+def _unchecked_skew(outer: list[int], inner: list[int]) -> SkewShape:
+    """A SkewShape built from its rows without the checks of ``SkewShape``.
+
+    Only for rows that are a skew shape by construction: outer parts
+    weakly decreasing and nonnegative, inner parts weakly decreasing,
+    nonnegative and at most the outer part of their row.  Each caller
+    says why in its docstring.  Input from outside the program (the CLI,
+    the parser) always goes through ``SkewShape``.  The zeros of such a
+    list are its tail, and are dropped by counting them; a zero outer
+    part has a zero inner part beside it, so the rows stay aligned.
+    """
+    s = object.__new__(SkewShape)
+    s.outer = _unchecked(outer[: len(outer) - outer.count(0)])
+    s.inner = _unchecked(inner[: len(inner) - inner.count(0)])
+    s.size = sum(outer) - sum(inner)
+    return s
+
+
 class SkewNormalForm(NamedTuple):
     """``label`` is the partition that the basic shape or its rotation
     is, or None; the empty shape is the empty partition."""
@@ -402,28 +422,57 @@ class SkewNormalForm(NamedTuple):
 
 
 def _strip_to_basic(s: SkewShape) -> SkewShape:
-    """Drop empty rows and columns, keeping the cells' relative layout."""
-    spans = [(a, b) for a, b in s.row_spans() if a < b]
-    if not spans:
-        return SkewShape(EMPTY, EMPTY)
-    cols = sorted({j for a, b in spans for j in range(a + 1, b + 1)})
-    remap = {c: k + 1 for k, c in enumerate(cols)}
-    # a nonempty row's own columns are all kept, so its span maps onto a
-    # contiguous block of kept columns
-    outer = [remap[b] for a, b in spans]
-    inner = [remap[a + 1] - 1 for a, b in spans]
-    return SkewShape(Partition(outer), Partition(inner))
+    """Drop empty rows and columns, keeping the cells' relative layout.
+
+    Walk the nonempty rows (a, b] from the bottom up, ``below`` being the
+    end of the nonempty row below (0 under the last one).  The empty
+    columns left of a row's start a are the gaps (below, a] of this row
+    and of every row under it: a gap of a row higher up lies right of
+    that row's own end.  So each row moves left by ``shift``, the sum of
+    those gaps so far.  A shape with no empty row and no gap is basic,
+    and is its own basic form: it is returned as it is.
+
+    Soundness of the unchecked build.  Moving a row left by its shift
+    keeps its length b - a > 0.  Going up a row, the shift grows by
+    a - below when that is positive, which takes the row's new start to
+    the new end of the row below and its new end past it; otherwise both
+    ends stay at or right of those below.  So the new ends and starts
+    are weakly decreasing going down, every start is at least 0 (the
+    last one is 0) and below its own end: a skew shape of the same size.
+    """
+    spans = s.row_spans()
+    outer: list[int] = []
+    inner: list[int] = []
+    shift = below = 0
+    for a, b in reversed(spans):
+        if a < b:
+            if a > below:
+                shift += a - below
+            outer.append(b - shift)
+            inner.append(a - shift)
+            below = b
+    if not shift and len(outer) == len(spans):
+        return s
+    outer.reverse()
+    inner.reverse()
+    return _unchecked_skew(outer, inner)
 
 
 def rotate_skew(s: SkewShape) -> SkewShape:
-    """Rotate the diagram by 180 degrees inside its bounding box."""
+    """Rotate the diagram by 180 degrees inside its bounding box.
+
+    Row r of the rotation is row ell + 1 - r of s, with span (a, b]
+    turned into (w - b, w - a], w being the first outer part.  Read
+    bottom up, the starts a and the ends b of s weakly increase, so the
+    new ones weakly decrease, and 0 <= w - b <= w - a: built unchecked.
+    An empty row of full width at the top of s, the only way to reach
+    w - a = 0, becomes a zero row at the bottom and is dropped.
+    """
     if s.size == 0:
-        return SkewShape(EMPTY, EMPTY)
-    ell = len(s.outer)
-    w = s.outer.width
-    outer = [w - s.inner.row(ell + 1 - r) for r in range(1, ell + 1)]
-    inner = [w - s.outer.row(ell + 1 - r) for r in range(1, ell + 1)]
-    return SkewShape(Partition(outer), Partition(inner))
+        return _unchecked_skew([], [])
+    w = s.outer[0]
+    spans = s.row_spans()[::-1]
+    return _unchecked_skew([w - a for a, b in spans], [w - b for a, b in spans])
 
 
 def _components(s: SkewShape) -> list[SkewShape]:
@@ -432,7 +481,9 @@ def _components(s: SkewShape) -> list[SkewShape]:
     Consecutive nonempty rows belong to one component iff their column
     ranges share a column; touching only at a corner does not connect.
     So a component's columns are one interval, and shifting its last
-    row's inner part away makes it basic.
+    row's inner part away makes it basic.  The block's starts and ends
+    are weakly decreasing, and its last start is the smallest, so the
+    shifted rows keep 0 <= start < end: built unchecked.
     """
     spans = s.row_spans()
     comps: list[SkewShape] = []
@@ -450,7 +501,7 @@ def _components(s: SkewShape) -> list[SkewShape]:
             end += 1
         block = spans[start:end + 1]
         shift = block[-1][0]
-        comps.append(SkewShape(Partition(b - shift for a, b in block), Partition(a - shift for a, b in block)))
+        comps.append(_unchecked_skew([b - shift for a, b in block], [a - shift for a, b in block]))
         start = end + 1
     return comps
 
@@ -459,7 +510,14 @@ def _components(s: SkewShape) -> list[SkewShape]:
 def skew_normalize(s: SkewShape) -> SkewNormalForm:
     """The one normal form of a skew shape; every caller reads it here.
 
-    Bounded: a sweep asks about one shape for every alpha in a row.
+    A basic shape is its own basic form, the same object.  The basic
+    form, its rotation and its components are built from row spans
+    without the checks of ``SkewShape``: each moves or reflects whole
+    rows so that starts and ends stay weakly decreasing, every start
+    stays between 0 and its end, and no cell is added or lost, as the
+    docstrings of ``_strip_to_basic``, ``rotate_skew`` and
+    ``_components`` show row by row.  Bounded: a sweep asks about one
+    shape for every alpha in a row.
     """
     basic = _strip_to_basic(s)
     rotated = rotate_skew(basic)

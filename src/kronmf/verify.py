@@ -3,10 +3,11 @@
 Each sweep compares a classification predicate against direct
 computation (or one engine against the other) over the complete space
 at one degree.  A sweep yields one row per check: None for a pass, or
-the mismatch tuple, whose labels are rendered only then.  One loop,
-``_report``, counts the rows and sorts the mismatches, so every mode
-returns a deterministic report the same way.  The sweeps keep no clock;
-the CLI times a whole run.
+the mismatch tuple, whose labels are rendered only then.  Checks settled
+by an argument rather than computed come as one int row, their count.
+One loop, ``_report``, counts the checks and sorts the mismatches, so
+every mode returns a deterministic report the same way.  The sweeps
+keep no clock; the CLI times a whole run.
 
 Under the oracle the triple and skew sweeps expand no product: a
 character is its list of values on the classes (a table row, or one sum
@@ -21,7 +22,7 @@ it once and adds it there, and keeps none past its row otherwise.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations_with_replacement, repeat, starmap
+from itertools import combinations_with_replacement, starmap
 from operator import add, mul
 
 from .cache import ProductCache
@@ -94,12 +95,19 @@ class VerificationReport:
 
 
 def _report(n: int, mode: str, engine: str, rows) -> VerificationReport:
-    """Count one row per check and keep the mismatches, sorted."""
-    checked, mismatches = 0, []
+    """Count the checks and keep the mismatches, sorted.
+
+    A row is one check, None for a pass or the mismatch tuple, or else
+    an int: that many passing checks settled without a row each.
+    """
+    checked, counted, mismatches = 0, 0, []
     for checked, row in enumerate(rows, start=1):
-        if row:
-            mismatches.append(row)
-    return VerificationReport(n, mode, engine, checked, sorted(mismatches))
+        if row is not None:
+            if type(row) is int:
+                counted += row - 1
+            else:
+                mismatches.append(row)
+    return VerificationReport(n, mode, engine, checked + counted, sorted(mismatches))
 
 
 def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str] | None:
@@ -207,20 +215,27 @@ def _skew_rows(n: int, engine: str):
         for b in mf_proper[i:]:
             t, y = proper[b]
             yield _mf_row(False, mf(times(x, y)), s, t)
-    # pairs with a non-mf factor are settled by the repeated-constituent
-    # argument; one passing row each keeps the tally over the full space
+    # the other pairs repeat a computed pair's characters or have a non-mf
+    # factor, settled by the repeated-constituent argument; one count row
+    # keeps the tally over the full space
     k = len(mf_proper)
-    yield from repeat(None, n_proper * (n_proper + 1) // 2 - k * (k + 1) // 2)
+    yield n_proper * (n_proper + 1) // 2 - k * (k + 1) // 2
 
 
 def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
     """Skew sweeps: the basic-shape predicate, skew-times-irreducible,
     and no-mf-product-of-two-proper-skews, all at one degree.
 
-    For the proper-times-proper part, only pairs of multiplicity-free
-    proper characters need computing: a factor with a repeated
-    constituent sigma contributes 2([sigma].[t]) != 0 to the product, so
-    those pairs can never be multiplicity-free.  They are still counted.
+    Each basic shape s of size n is one check of ``is_mf_skew`` and p(n)
+    checks of ``is_mf_skew_times_irr``.  Each unordered pair of proper
+    shapes is one check that the product is not multiplicity-free, so
+    ``pairs_checked`` is B (1 + p(n)) + P (P + 1) / 2 for B basic and P
+    proper shapes.  Only pairs of multiplicity-free proper characters
+    are computed, once per distinct pair of characters: a factor with a
+    repeated constituent sigma contributes 2([sigma].[t]) != 0 to the
+    product, so those pairs can never be multiplicity-free.  The pairs
+    not computed come as one count row, which ``_report`` adds without a
+    loop.
     """
     return _report(n, "skew", engine, _skew_rows(n, engine))
 

@@ -313,10 +313,11 @@ class TestPackedProduct:
         # the bound must come from the identity class (1^n), the last
         # column: the n-cycle column holds only 0 and +-1
         for n in range(17):
-            slot, columns = characters._packed(n)
+            slot, columns, dims = characters._packed(n)
             bound = factorial(n) * max(dimension(p) for p in enumerate_partitions(n))
             assert 8 * slot >= bound.bit_length() + 2, n
             assert len(columns) == len(enumerate_partitions(n))
+            assert dims == tuple(map(dimension, enumerate_partitions(n)))
 
 
 class TestClassSumVerdict:

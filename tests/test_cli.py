@@ -134,6 +134,16 @@ class TestClassify:
         res = run_cli("classify-skew", "3,2/1", "2,2,1")
         assert res.returncode == 2
 
+    def test_skew_not_contained_quotes_the_grammar(self):
+        # both partitions in the operand grammar, as every other operand
+        # error gives them, and never a Python repr
+        res = run_cli("classify-skew", "3,2/4", "1")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: inner '4' not contained in outer '3,2'\n"
+        res = run_cli("classify-skew", "/1^3", "1")
+        assert res.returncode == 2
+        assert res.stderr == "error: inner '1^3' not contained in outer ''\n"
+
     def test_json_verdict(self):
         res = run_cli("classify", "6,3", "3^3", "--format", "json")
         blob = json.loads(res.stdout)

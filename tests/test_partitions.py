@@ -10,7 +10,9 @@ from kronmf.partitions import (
     MAX_PARSED_SIZE,
     Node,
     Partition,
+    SkewNormalForm,
     SkewShape,
+    _components,
     add_node,
     addable_nodes,
     classify_shape,
@@ -396,6 +398,95 @@ class TestSkewShapes:
                             if skew_normalize(s).basic == s:
                                 brute.add(s)
             assert brute == set(enumerate_basic_skew_shapes(size))
+
+
+def _reference_normal_form(s):
+    """The normal form from its definitions, with checked constructors only.
+
+    Empty rows and columns are dropped by ranking the occupied columns;
+    components are flood fills of the cells over shared edges, each moved
+    left until its leftmost cell sits in the first column.
+    """
+    rows = [(s.inner.row(i), part) for i, part in enumerate(s.outer, start=1)]
+    rows = [(a, b) for a, b in rows if a < b]
+    if not rows:
+        empty = SkewShape((), ())
+        return SkewNormalForm(empty, (), True, EMPTY)
+    rank = {c: k for k, c in enumerate(sorted({j for a, b in rows for j in range(a + 1, b + 1)}), start=1)}
+    basic = SkewShape([rank[b] for a, b in rows], [rank[a + 1] - 1 for a, b in rows])
+    rotated = _reference_rotation(basic)
+    cells = {(i, j) for i, b in enumerate(basic.outer) for j in range(basic.inner.row(i + 1), b)}
+    comps = []
+    while cells:
+        todo = [min(cells)]
+        comp = set()
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in cells:
+                cells.discard((i, j))
+                comp.add((i, j))
+                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+        shift = min(j for i, j in comp)
+        spans = {}
+        for i, j in sorted(comp):
+            spans.setdefault(i, []).append(j - shift)
+        comps.append(SkewShape([max(js) + 1 for js in spans.values()], [min(js) for js in spans.values()]))
+    rotated_equal = rotated.inner == EMPTY
+    label = basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
+    return SkewNormalForm(basic, tuple(comps), rotated_equal, label)
+
+
+def _reference_rotation(s):
+    if s.size == 0:
+        return SkewShape((), ())
+    w, ell = s.outer.width, len(s.outer)
+    return SkewShape(
+        [w - s.inner.row(ell + 1 - r) for r in range(1, ell + 1)],
+        [w - s.outer.row(ell + 1 - r) for r in range(1, ell + 1)],
+    )
+
+
+def _every_skew_shape(top):
+    for n in range(top + 1):
+        for outer in enumerate_partitions(n):
+            for k in range(n + 1):
+                for inner in iter_subpartitions(outer, k):
+                    yield SkewShape(outer, inner)
+
+
+def _sized(s):
+    return s.size == s.outer.n - s.inner.n
+
+
+class TestSkewNormalForm:
+    """The normal form, built from row spans with unchecked parts, against
+    the same form built from its definitions with the checked constructors."""
+
+    def test_equals_the_reference_for_every_outer_up_to_size_8(self):
+        shapes = list(_every_skew_shape(8))
+        # not only basic shapes: empty rows and empty columns too
+        assert any(len(skew_normalize(s).basic.outer) < len(s.outer) for s in shapes)
+        assert any(skew_normalize(s).basic.outer.width < s.outer.width for s in shapes)
+        for s in shapes:
+            nf = skew_normalize(s)
+            assert nf == _reference_normal_form(s), s
+            assert rotate_skew(s) == _reference_rotation(s), s
+            assert all(map(_sized, (nf.basic, rotate_skew(s), *nf.components))), s
+
+    def test_a_basic_shape_is_its_own_basic_form(self):
+        for s in enumerate_basic_skew_shapes(6):
+            assert skew_normalize(s).basic is s
+
+    def test_size_is_set_by_every_constructor(self):
+        shapes = [SkewShape((4, 3, 1), (2, 1)), SkewShape((3,)), parse_skew("4,3,3/3,3,1"), parse_skew("2,1/2,1")]
+        for s in list(shapes):
+            shapes += [rotate_skew(s), *_components(s)]
+        shapes += list(_every_skew_shape(6))
+        for s in shapes:
+            assert _sized(s), s
+            assert _sized(rotate_skew(s)), s
+            assert all(map(_sized, _components(s))), s
+        assert [s.size for s in shapes[:4]] == [5, 3, 3, 0]
 
 
 class TestGrammar:

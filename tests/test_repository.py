@@ -92,15 +92,24 @@ def _mentions(tree, name):
 
 
 def test_unchecked_partitions_stay_inside_the_engines():
-    # parts that skip validation are built only where they are a
-    # partition by construction; outside input (CLI, cache file, parser)
-    # always goes through the checked constructor
+    # partitions and skew shapes that skip validation are built only where
+    # they are one by construction; outside input (CLI, cache file, parser)
+    # always goes through the checked constructors
     src = ROOT / "src" / "kronmf"
-    users = {path.name for path in src.glob("*.py") if _mentions(ast.parse(path.read_text()), "_unchecked")}
-    assert users == {"partitions.py", "littlewood_richardson.py", "kronecker.py"}
-    tree = ast.parse((src / "partitions.py").read_text())
-    parser = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "parse_partition")
-    assert not _mentions(parser, "_unchecked")
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    checked = [
+        node
+        for node in ast.walk(trees["partitions.py"])
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in {"parse_partition", "parse_skew", "SkewShape"}
+    ]
+    assert len(checked) == 3
+    for constructor, modules in (
+        ("_unchecked", {"partitions.py", "littlewood_richardson.py", "kronecker.py"}),
+        ("_unchecked_skew", {"partitions.py"}),
+    ):
+        assert {name for name, tree in trees.items() if _mentions(tree, constructor)} == modules
+        assert not any(_mentions(node, constructor) for node in checked), constructor
 
 
 def test_program_imports_no_process_pool():

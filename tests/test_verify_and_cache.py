@@ -171,6 +171,27 @@ class TestReports:
         assert [verify_skew(n).pairs_checked for n in range(1, 7)] == [2, 10, 51, 399, 3546, 35649]
         assert [verify_triples(n).pairs_checked for n in range(1, 7)] == [1, 4, 10, 35, 84, 286]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_skew_checks_cover_every_shape_and_proper_pair(self, n):
+        # one is_mf_skew check and p(n) skew-times-irreducible checks per
+        # basic shape, and one check per unordered pair of proper shapes,
+        # whether it is computed or settled by a count row
+        shapes = enumerate_basic_skew_shapes(n)
+        basic, proper = len(shapes), sum(map(is_proper_skew, shapes))
+        expected = basic * (1 + len(enumerate_partitions(n))) + proper * (proper + 1) // 2
+        assert verify_skew(n).pairs_checked == expected
+        if n == 6:
+            assert (basic, proper, expected) == (272, 254, 35649)
+
+    def test_report_adds_count_rows_and_sorts_mismatches(self):
+        late, early = ("b", "x", "mf", "not-mf"), ("a", "y", "not-mf", "mf")
+        rows = [None, late, 5, None, 0, early, 1]
+        report = verify_mod._report(4, "skew", "auto", iter(rows))
+        assert report.pairs_checked == 2 + 2 + 5 + 0 + 1
+        assert report.mismatches == [early, late]
+        assert verify_mod._report(4, "skew", "auto", iter([0])).pairs_checked == 0
+        assert verify_mod._report(4, "skew", "auto", iter([])).pairs_checked == 0
+
     # Each case makes one mode report mismatches: a flipped predicate, a
     # Dvir product with one constituent raised, or a multiplicity-free
     # verdict on every product (the skew sweep's skew-times-irreducible
