@@ -16,7 +16,8 @@ of rows per skew shape), a product is pointwise, and
 two class sums.  The pair and engine sweeps, and every sweep under Dvir,
 compute full products.  Every sweep runs in one process and streams:
 the pair sweep takes each product from the optional cache, or computes
-it once and adds it there, and keeps none past its row otherwise.
+it once and writes it there, and keeps none past its row, with a cache
+or without one.
 """
 
 from __future__ import annotations
@@ -126,15 +127,18 @@ def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str
 def _pair_rows(n: int, engine: str, cache: ProductCache | None):
     # resolved once: "auto" reads the table ceiling from the environment
     engine = _resolve_engine(engine, n)
-    for lam, mu in combinations_with_replacement(enumerate_partitions(n), 2):
-        terms = cache.get(n, lam, mu) if cache is not None else None
-        if terms is None:
-            terms = kron_product(lam, mu, engine).terms()
-            if cache is not None:
-                cache.put(n, lam, mu, terms)
-        yield _mf_row(is_mf_pair(lam, mu), max(terms.values()) == 1, lam, mu)
-    if cache is not None:
-        cache.flush()
+    try:
+        for lam, mu in combinations_with_replacement(enumerate_partitions(n), 2):
+            terms = cache.get(n, lam, mu) if cache is not None else None
+            if terms is None:
+                terms = kron_product(lam, mu, engine).terms()
+                if cache is not None:
+                    cache.put(n, lam, mu, terms)
+            yield _mf_row(is_mf_pair(lam, mu), max(terms.values()) == 1, lam, mu)
+    finally:
+        # also on an interrupted sweep, which keeps every record it put
+        if cache is not None:
+            cache.flush()
 
 
 def verify_pairs(

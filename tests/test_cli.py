@@ -305,6 +305,25 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stderr == f"error: {path}: not a kronmf cache file\n"
 
+    @pytest.mark.parametrize("head", ['{"format":"kronmf-cache","version":1}', '{"format":"kro', "{"])
+    def test_cache_torn_header_loads_empty_and_is_rewritten(self, tmp_path, head):
+        fresh = tmp_path / "fresh.jsonl"
+        cold = run_cli("verify", "4", "--mode", "pairs", "--cache", str(fresh))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(head)
+        for _ in range(2):
+            res = run_cli("verify", "4", "--mode", "pairs", "--cache", str(path))
+            assert res.returncode == 0 and res.stdout == cold.stdout
+            assert path.read_bytes() == fresh.read_bytes()
+
+    def test_cache_foreign_line_without_newline_exit_2(self, tmp_path):
+        path = tmp_path / "foreign.jsonl"
+        path.write_text('{"format":"other"}')
+        res = run_cli("verify", "4", "--mode", "pairs", "--cache", str(path))
+        assert res.returncode == 2
+        assert res.stderr == f"error: {path}: not a kronmf cache file\n"
+        assert path.read_text() == '{"format":"other"}'
+
     def test_cache_in_a_missing_directory_exit_2_before_the_sweep(self, tmp_path):
         path = tmp_path / "missing" / "cache.jsonl"
         with mock.patch("kronmf.verify.kron_product", side_effect=AssertionError("product computed")):
@@ -325,11 +344,14 @@ class TestVerify:
 
     def test_cache_bytes_are_frozen(self, tmp_path):
         # the on-disk format: header, records in sweep order, terms sorted
-        path = tmp_path / "cache.jsonl"
-        assert run_cli("verify", "8", "--mode", "pairs", "--cache", str(path)).returncode == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ba4e9aff9432859f2609d89845957f450fa61c20359b3012ded8e699430ddf72"
-        )
+        # whichever engine computed the products
+        for engine in ("auto", "dvir"):
+            path = tmp_path / f"cache-{engine}.jsonl"
+            res = run_cli("verify", "8", "--mode", "pairs", "--engine", engine, "--cache", str(path))
+            assert res.returncode == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "ba4e9aff9432859f2609d89845957f450fa61c20359b3012ded8e699430ddf72"
+            )
 
     @pytest.mark.parametrize(
         "lineno, record",

@@ -11,7 +11,7 @@ from kronmf.cache import ProductCache
 from kronmf.characters import character_table
 from kronmf.cli import main
 from kronmf.expansion import CharacterExpansion
-from kronmf.kronecker import multiply_expansions
+from kronmf.kronecker import kron_product, multiply_expansions
 from kronmf.littlewood_richardson import skew_expand
 from kronmf.partitions import Partition, enumerate_basic_skew_shapes, enumerate_partitions, is_proper_skew
 from kronmf.verify import (
@@ -131,9 +131,31 @@ class TestProductCache:
         reloaded = ProductCache(path)
         p9 = len(enumerate_partitions(9))
         assert len(reloaded) == p9 * (p9 + 1) // 2
-        assert reloaded._records == cold._records
+        for lam, mu in combinations_with_replacement(enumerate_partitions(9), 2):
+            assert reloaded.get(9, lam, mu) == kron_product(lam, mu, "oracle").terms()
         assert 0 < calls["format"] <= p9
         assert 0 < calls["parse"] <= p9
+
+    def test_interrupted_sweep_keeps_its_records_and_resumes_to_the_same_bytes(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.jsonl")
+        calls = 0
+
+        def failing(lam, mu, engine="auto"):
+            nonlocal calls
+            calls += 1
+            if calls == 200:
+                raise RuntimeError("interrupted")
+            return kron_product(lam, mu, engine)
+
+        monkeypatch.setattr(verify_mod, "kron_product", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            verify_pairs(9, cache=ProductCache(path))
+        assert len(ProductCache(path)) == 199
+        monkeypatch.undo()
+        assert verify_pairs(9, cache=ProductCache(path)).ok
+        with open(path, "rb") as fh:
+            written = hashlib.sha256(fh.read()).hexdigest()
+        assert written == "533679164a88c68dcfa261a44932f11014a01b8ad8e03ff5490ca6086ad125de"
 
 
 class TestReports:
