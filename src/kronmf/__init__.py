@@ -40,6 +40,7 @@ from .characters import (
     class_size,
     kron_oracle,
     kron_product_oracle,
+    kron_row_oracle,
 )
 from .kronecker import (
     SemigroupWitness,
@@ -48,6 +49,7 @@ from .kronecker import (
     g_max,
     kron_coefficient,
     kron_product,
+    kron_row,
     max_width,
     multiply_expansions,
     semigroup_bound,

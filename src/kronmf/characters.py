@@ -22,7 +22,7 @@ and the rows' dimensions, built on the first product of a degree, never
 by ``character_table``) and ``_class_weights`` (the class sizes and the
 class-weighted column sums, built on the first ``is_mf_class_function``
 of a degree).
-Products from ``kron_product_oracle`` and single values from
+Products from ``kron_row_oracle`` and single values from
 ``character_value`` are recomputed on each call.
 
 A product [lam].[mu] is one Kronecker substitution (D. Harvey, "Faster
@@ -31,8 +31,13 @@ Symbolic Comput. 44, 2009): each column rho of the table is packed into
 one integer P_rho with a fixed-width slot per row nu, and the sum over
 rho of cs_rho chi^lam(rho) chi^mu(rho) P_rho holds n! g(lam, mu, nu) in
 slot nu.  That is p(n) big-integer multiply-adds in C in place of p(n)^2
-interpreted ones.  ``kron_oracle`` keeps the row dot product, one
-coefficient at a time, as the independent reference for the packed path.
+interpreted ones.  Products come by the row: ``kron_row_oracle`` weighs
+the columns by cs_rho chi^lam(rho) once per lam, so each [lam].[mu]
+of the row is one sum of those columns times chi^mu(rho), decoded by
+one exact division of the whole sum by n!, after which each slot's low
+word is g.  ``kron_product_oracle`` is its one-mu case.  ``kron_oracle``
+keeps the row dot product, one coefficient at a time, as the independent
+reference for the packed path.
 """
 
 from __future__ import annotations
@@ -42,8 +47,10 @@ import os
 import sys
 from array import array
 from functools import cache
+from itertools import compress
 from math import factorial, isqrt
 from operator import mul
+from typing import Iterable, Iterator
 
 from .expansion import CharacterExpansion
 from .partitions import Partition, dimension, enumerate_partitions, format_partition
@@ -400,7 +407,7 @@ def _packed(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     dim nu per row).
 
     The dimensions come from the hook length formula, not from the
-    table, so the dimension check of ``kron_product_oracle`` rests on
+    table, so the dimension check of ``kron_row_oracle`` rests on
     nothing the table computed.
 
     P_rho = sum over rows nu of chi^nu(rho) * 2^(B * i_nu), i_nu being the
@@ -450,44 +457,66 @@ def _packed(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return 8 * words, tuple(columns), tuple(map(dimension, t.rows))
 
 
-def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
-    """Full Kronecker product expansion via the character table.
+def kron_row_oracle(lam: Partition, mus: Iterable[Partition]) -> Iterator[CharacterExpansion]:
+    """[lam].[mu] for each mu of mus in turn, via the character table.
 
-    Soundness of the decode.  Every slot of the packed sum holds
-    n! g(lam, mu, nu) in [0, 2^B) (see ``_packed``), so the sum is a
-    nonnegative integer whose base-2^B digits are the slot values, and
-    ``to_bytes`` writes them with no sign to undo.  Read as unsigned
-    64-bit words in ``_packed``'s word order, word j of every slot is
-    the strided slice [j::W], and folding those slices from the top word
-    down, high << 64 | low, rebuilds every slot: W C-level slices in
-    place of p(n) byte slices turned into ints one at a time.
+    Lazy: the table, the packed columns and lam's weighted columns are
+    built at the first product asked for, so a row that is never asked
+    for builds nothing.
 
-    Every product is checked: Σ g dim nu = dim lam dim mu, read as one
-    C-level sum over the slots, n! g times the hook-length dim nu,
-    against n! dim lam dim mu.
+    Row form.  V_rho = cs_rho chi^lam(rho) P_rho, P_rho being
+    ``_packed``'s column, is formed once per row, and [lam].[mu] is the
+    one sum S = sum over rho of chi^mu(rho) V_rho: p(n) big multiplies
+    by a table entry per product, in place of weighing every column by
+    cs_rho chi^lam(rho) chi^mu(rho) afresh for each pair.  Slot nu of S
+    holds s_nu = n! g(lam, mu, nu), with 0 <= s_nu < 2^B (see
+    ``_packed``).
+
+    Soundness of the decode.  One exact division, S = n! q + r, decodes
+    every slot.  Write q = sum over nu of q_nu 2^(B nu), its base-2^B
+    digits, which ``to_bytes`` writes out (and refuses a q that is
+    negative or wider than p(n) slots).  Require r = 0, every high word
+    of every q_nu to be 0 (one AND with a mask of those words), and
+    max q_nu * n! < 2^B.  Then S = sum over nu of (n! q_nu) 2^(B nu)
+    with every n! q_nu in [0, 2^B): a base-2^B digit expansion of S.
+    Digits are unique, so n! q_nu = s_nu, and g(lam, mu, nu) = q_nu is
+    the low word of slot nu.  These checks stand in for a remainder test
+    per slot.  Read as unsigned 64-bit words in ``_packed``'s word order,
+    the low words of all slots are the one strided slice [::W].
+
+    Every product is also checked: sum of g dim nu = dim lam dim mu, one
+    C-level sum over the slots against the hook-length dimensions.
     """
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     n = lam.n
     t = character_table(n)
     slot, columns, dims = _packed(n)
     nfact = factorial(n)
-    weights = map(mul, map(mul, t.class_sizes, t.row(lam)), t.row(mu))
-    words = array("Q", sum(map(mul, weights, columns)).to_bytes(slot * len(t.rows), "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
     width = slot // 8
-    totals = words[width - 1 :: width]
-    for j in range(width - 2, -1, -1):
-        totals = [high << 64 | low for high, low in zip(totals, words[j::width])]
-    terms = {}
-    for nu, total in zip(t.rows, totals):
-        if total:
-            g, rem = divmod(total, nfact)
-            assert rem == 0 and g >= 0
-            terms[nu] = g
-    assert sum(map(mul, totals, dims)) == nfact * dimension(lam) * dimension(mu)
-    return CharacterExpansion(n, terms, _trusted=True)
+    size = slot * len(t.rows)
+    limit = 1 << (8 * slot)
+    # every bit of every slot above its low word; 0 for one-word slots
+    high = int.from_bytes((bytes(8) + b"\xff" * (slot - 8)) * len(t.rows), "little")
+    dim_lam = dimension(lam)
+    weighted = list(map(mul, map(mul, t.class_sizes, t.row(lam)), columns))
+    for mu in mus:
+        if mu.n != n:
+            raise ValueError(f"degree mismatch: {n} vs {mu.n}")
+        q, r = divmod(sum(map(mul, t.row(mu), weighted)), nfact)
+        words = array("Q", q.to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        low = words[::width]
+        assert r == 0 and not q & high and max(low) * nfact < limit
+        assert sum(map(mul, low, dims)) == dim_lam * dimension(mu)
+        yield CharacterExpansion(n, dict(compress(zip(t.rows, low), low)), _trusted=True)
+
+
+def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
+    """Full Kronecker product expansion via the character table: the
+    one-mu row of ``kron_row_oracle``."""
+    if lam.n != mu.n:
+        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
+    return next(kron_row_oracle(lam, (mu,)))
 
 
 @cache

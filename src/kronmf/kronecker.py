@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product as iproduct
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .characters import MAX_TABLE_DEGREE, kron_oracle, kron_product_oracle, table_ceiling
+from .characters import MAX_TABLE_DEGREE, kron_oracle, kron_product_oracle, kron_row_oracle, table_ceiling
 from .expansion import CharacterExpansion
 from .littlewood_richardson import _lr_counts, skew_expand
 from .partitions import (
@@ -302,6 +302,19 @@ def kron_product(lam: Partition, mu: Partition, engine: str = "auto") -> Charact
     if eng == "oracle":
         return kron_product_oracle(lam, mu)
     return CharacterExpansion(lam.n, dict(_dvir_product(lam, mu)), _trusted=True)
+
+
+def kron_row(
+    lam: Partition, mus: Iterable[Partition], engine: str = "auto"
+) -> Iterator[CharacterExpansion]:
+    """[lam].[mu] for each mu of mus in turn, through the requested
+    engine, lazily: nothing is computed before the first product is asked
+    for.  The oracle forms lam's weighted columns once per row
+    (``kron_row_oracle``); Dvir computes each product on its own."""
+    eng = _resolve_engine(engine, lam.n)
+    if eng == "oracle":
+        return kron_row_oracle(lam, mus)
+    return (kron_product(lam, mu, eng) for mu in mus)
 
 
 def g_max(lam: Partition, mu: Partition, engine: str = "auto") -> int:

@@ -14,23 +14,28 @@ character is its list of values on the classes (a table row, or one sum
 of rows per skew shape), a product is pointwise, and
 ``characters.is_mf_class_function`` decides multiplicity-freeness from
 two class sums.  The pair and engine sweeps, and every sweep under Dvir,
-compute full products.  Every sweep runs in one process and streams:
-the pair sweep takes each product from the optional cache, or computes
-it once and writes it there, and keeps none past its row, with a cache
-or without one.
+compute full products.  Both walk the pairs lambda-major and take a
+row's products from one lazy generator, ``kron_row``: under the oracle
+it forms lambda's class-weighted packed columns once, and decodes each
+[lambda].[mu] of the row with one exact division of the packed sum by
+n! (``characters.kron_row_oracle``).  Every sweep runs in one process
+and streams: the pair sweep takes each product from the optional cache,
+or computes it once and writes it there, and keeps none past its row,
+with a cache or without one.  It reads a row's records first and hands
+the row only its misses, so a row the cache holds in full computes
+nothing, not even a table.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations_with_replacement, starmap
 from operator import add, mul
 
 from .cache import ProductCache
 from .characters import character_table, is_mf_class_function
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
 from .expansion import CharacterExpansion
-from .kronecker import _resolve_engine, kron_product, multiply_expansions
+from .kronecker import _resolve_engine, kron_product, kron_row, multiply_expansions
 from .littlewood_richardson import is_mf_skew, skew_expand
 from .partitions import (
     Partition,
@@ -127,14 +132,20 @@ def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str
 def _pair_rows(n: int, engine: str, cache: ProductCache | None):
     # resolved once: "auto" reads the table ceiling from the environment
     engine = _resolve_engine(engine, n)
+    parts = enumerate_partitions(n)
     try:
-        for lam, mu in combinations_with_replacement(enumerate_partitions(n), 2):
-            terms = cache.get(n, lam, mu) if cache is not None else None
-            if terms is None:
-                terms = kron_product(lam, mu, engine).terms()
-                if cache is not None:
-                    cache.put(n, lam, mu, terms)
-            yield _mf_row(is_mf_pair(lam, mu), max(terms.values()) == 1, lam, mu)
+        for i, lam in enumerate(parts):
+            row = parts[i:]
+            known = [None] * len(row) if cache is None else [cache.get(n, lam, mu) for mu in row]
+            # the row's cache misses only, read as the row reaches each one,
+            # so a row the cache holds in full builds nothing
+            computed = kron_row(lam, (mu for mu, terms in zip(row, known) if terms is None), engine)
+            for mu, terms in zip(row, known):
+                if terms is None:
+                    terms = next(computed).terms()
+                    if cache is not None:
+                        cache.put(n, lam, mu, terms)
+                yield _mf_row(is_mf_pair(lam, mu), max(terms.values()) == 1, lam, mu)
     finally:
         # also on an interrupted sweep, which keeps every record it put
         if cache is not None:
@@ -244,21 +255,28 @@ def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
     return _report(n, "skew", engine, _skew_rows(n, engine))
 
 
-def _engine_row(lam: Partition, mu: Partition) -> tuple[str, str, str, str] | None:
-    """None if Dvir and the oracle agree on [lam].[mu], else the labels that differ."""
+def _engine_row(lam: Partition, mu: Partition, right: CharacterExpansion) -> tuple[str, str, str, str] | None:
+    """None if Dvir agrees with the oracle's product ``right`` = [lam].[mu],
+    else the labels that differ, joined by ";", which no label contains."""
     left = kron_product(lam, mu, "dvir")
-    right = kron_product(lam, mu, "oracle")
     if left == right:
         return None
     diff = {p for p in set(left.support()) | set(right.support()) if left[p] != right[p]}
-    labels = ",".join(map(str, sorted(diff, reverse=True)))
+    labels = ";".join(map(str, sorted(diff, reverse=True)))
     return (str(lam), str(mu), "dvir!=oracle", labels)
+
+
+def _engine_rows(n: int):
+    parts = enumerate_partitions(n)
+    for i, lam in enumerate(parts):
+        row = parts[i:]
+        for mu, right in zip(row, kron_row(lam, row, "oracle")):
+            yield _engine_row(lam, mu, right)
 
 
 def verify_engines(n: int) -> VerificationReport:
     """Dvir recursion against the character-table oracle, all pairs."""
-    pairs = combinations_with_replacement(enumerate_partitions(n), 2)
-    return _report(n, "engines", "dvir-vs-oracle", starmap(_engine_row, pairs))
+    return _report(n, "engines", "dvir-vs-oracle", _engine_rows(n))
 
 
 VERIFY_MODES = {

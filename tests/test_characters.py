@@ -17,6 +17,7 @@ from kronmf.characters import (
     is_mf_class_function,
     kron_oracle,
     kron_product_oracle,
+    kron_row_oracle,
 )
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import multiply_expansions
@@ -318,6 +319,57 @@ class TestPackedProduct:
             assert 8 * slot >= bound.bit_length() + 2, n
             assert len(columns) == len(enumerate_partitions(n))
             assert dims == tuple(map(dimension, enumerate_partitions(n)))
+
+
+class TestRowProduct:
+    """kron_row_oracle, a whole row per lam, against kron_oracle's dot product."""
+
+    @staticmethod
+    def assert_row_matches_dot_product(lam, mus, parts):
+        got = list(kron_row_oracle(lam, mus))
+        assert len(got) == len(mus)
+        for mu, product in zip(mus, got):
+            for nu in parts:
+                assert product[nu] == kron_oracle(lam, mu, nu), (lam, mu, nu)
+
+    def test_every_row_up_to_9(self):
+        for n in range(10):
+            parts = enumerate_partitions(n)
+            for lam in parts:
+                self.assert_row_matches_dot_product(lam, parts, parts)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_seeded_rows(self, n, monkeypatch):
+        import random
+
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "16")
+        rng = random.Random(n)
+        parts = enumerate_partitions(n)
+        for _ in range(2):
+            self.assert_row_matches_dot_product(rng.choice(parts), rng.sample(parts, 6), parts)
+
+    def test_two_word_slots(self, monkeypatch):
+        # the pairs of TestPackedProduct.test_two_word_slots, each in a row
+        # of several mu; at 20 some slots hold n! g >= 2^64 before the
+        # division, and every g after it lies in the low word
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "20")
+        lam = P(6, 5, 4, 3, 2)
+        self.assert_row_matches_dot_product(lam, [lam, conjugate(lam)], enumerate_partitions(20))
+        lam = P(13, 2, 1)
+        self.assert_row_matches_dot_product(lam, [P(12, 3, 1), lam], enumerate_partitions(16))
+
+    def test_a_row_is_lazy(self, cold_memos):
+        row = kron_row_oracle(P(3, 1), [P(4), P(2, 2)])
+        assert characters._table.cache_info().misses == 0
+        assert characters._packed.cache_info().misses == 0
+        assert next(row) == CharacterExpansion.irreducible(P(3, 1))
+        assert characters._packed.cache_info().misses == 1
+
+    def test_degree_mismatch_raises_when_reached(self):
+        row = kron_row_oracle(P(2, 1), [P(3), P(2, 1, 1)])
+        assert next(row) == CharacterExpansion.irreducible(P(2, 1))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            next(row)
 
 
 class TestClassSumVerdict:

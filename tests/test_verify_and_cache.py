@@ -11,7 +11,7 @@ from kronmf.cache import ProductCache
 from kronmf.characters import character_table
 from kronmf.cli import main
 from kronmf.expansion import CharacterExpansion
-from kronmf.kronecker import kron_product, multiply_expansions
+from kronmf.kronecker import kron_product, kron_row, multiply_expansions
 from kronmf.littlewood_richardson import skew_expand
 from kronmf.partitions import Partition, enumerate_basic_skew_shapes, enumerate_partitions, is_proper_skew
 from kronmf.verify import (
@@ -140,14 +140,15 @@ class TestProductCache:
         path = str(tmp_path / "c.jsonl")
         calls = 0
 
-        def failing(lam, mu, engine="auto"):
+        def failing(lam, mus, engine="auto"):
             nonlocal calls
-            calls += 1
-            if calls == 200:
-                raise RuntimeError("interrupted")
-            return kron_product(lam, mu, engine)
+            for product in kron_row(lam, mus, engine):
+                calls += 1
+                if calls == 200:
+                    raise RuntimeError("interrupted")
+                yield product
 
-        monkeypatch.setattr(verify_mod, "kron_product", failing)
+        monkeypatch.setattr(verify_mod, "kron_row", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             verify_pairs(9, cache=ProductCache(path))
         assert len(ProductCache(path)) == 199
@@ -156,6 +157,18 @@ class TestProductCache:
         with open(path, "rb") as fh:
             written = hashlib.sha256(fh.read()).hexdigest()
         assert written == "533679164a88c68dcfa261a44932f11014a01b8ad8e03ff5490ca6086ad125de"
+
+    def test_warm_sweep_on_a_full_file_builds_no_table(self, tmp_path, cold_memos, capsys):
+        # every row of a full file is read, none computed, so the lazy row
+        # products never build a character table or its packed columns
+        path = str(tmp_path / "c.jsonl")
+        assert verify_pairs(9, cache=ProductCache(path)).ok
+        for memo in cold_memos.values():
+            memo.cache_clear()
+        assert main(["verify", "9", "--mode", "pairs", "--cache", path]) == 0
+        assert "mismatches=0" in capsys.readouterr().out
+        assert cold_memos["characters._table"].cache_info().misses == 0
+        assert cold_memos["characters._packed"].cache_info().misses == 0
 
 
 class TestReports:
@@ -182,6 +195,26 @@ class TestReports:
         out = capsys.readouterr()
         assert code == 1
         assert "mismatch:" in out.out
+
+    def test_engine_mismatch_labels_are_separated_by_semicolons(self, monkeypatch, capsys):
+        # a label such as 2,1,1 holds commas, so the differing labels are
+        # joined by a separator no label contains
+        real = verify_mod.kron_product
+
+        def one_pair_off(lam, mu, engine="auto"):
+            exp = real(lam, mu, engine)
+            if engine == "dvir" and (lam, mu) == (P(3, 1), P(2, 1, 1)):
+                exp = exp + CharacterExpansion.irreducible(P(3, 1)) + CharacterExpansion.irreducible(P(2, 1, 1))
+            return exp
+
+        monkeypatch.setattr(verify_mod, "kron_product", one_pair_off)
+        assert main(["verify", "4", "--mode", "engines"]) == 1
+        assert capsys.readouterr().out == (
+            "verify mode=engines n=4 engine=dvir-vs-oracle\n"
+            "pairs_checked=15\n"
+            "mismatch: 3,1 | 2,1,1 predicted=dvir!=oracle computed=3,1;2,1,1\n"
+            "mismatches=1\n"
+        )
 
     def test_mode_ceilings_defaults(self):
         assert DEFAULT_CEILINGS == {"pairs": 9, "triples": 7, "skew": 7, "engines": 10}
