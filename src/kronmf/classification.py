@@ -9,7 +9,9 @@ products.  No closed form calls an engine: the module rests only on
 partitions, Littlewood-Richardson expansions and ``CharacterExpansion``,
 so both engines can be checked against it.  Clause matching always
 normalizes by conjugation and reports the first clause that fires, in
-classification order, so verdict provenance is reproducible.
+classification order, so verdict provenance is reproducible.  The pair
+predicate builds no conjugate: it reads each operand's face, the
+operand or its conjugate padded to three rows, from part counts.
 
 Each predicate states every clause once and derives each fact about an
 operand once per call: the pair and skew predicates build their clause
@@ -53,65 +55,49 @@ _CONJ_COMBOS = (
 )
 
 _EXCEPTIONAL_PAIRS = (
-    (Partition((3, 3, 3)), Partition((6, 3))),
-    (Partition((3, 3, 3)), Partition((5, 4))),
-    (Partition((4, 4, 4)), Partition((6, 6))),
+    ((3, 3, 3), (6, 3, 0)),
+    ((3, 3, 3), (5, 4, 0)),
+    ((4, 4, 4), (6, 6, 0)),
 )
 
 
-def _try_partition(parts) -> Partition | None:
-    """The indicator convention: a non-partition label contributes nothing."""
-    try:
-        return Partition(parts)
-    except ValueError:
-        return None
+def _face(p: Partition, conjugated: bool) -> tuple[int, ...]:
+    """p, or p' if conjugated, padded with zeros to three rows; () if longer.
 
-
-def _labels(*candidates) -> frozenset[Partition]:
-    """The candidate labels that are partitions, trailing zeros stripped."""
-    return frozenset(p for p in map(_try_partition, candidates) if p is not None)
+    p' has at most three rows iff p_1 <= 3; then column j counts the
+    parts >= j: p' = (l, l - m_1, m_3), l parts in all, m_i equal to i.
+    """
+    if conjugated:
+        return (len(p), len(p) - p.count(1), p.count(3)) if p[0] <= 3 else ()
+    return (*p, 0, 0)[:3] if len(p) <= 3 else ()
 
 
 @cache
-def _pair_clauses(n: int) -> tuple[frozenset[tuple[int, int, int]], tuple]:
+def _pair_clauses(n: int) -> tuple[frozenset[tuple[int, ...]], tuple]:
     """The anchors and the six clause tests of ``is_mf_pair`` at degree n.
 
-    Each clause needs one argument to equal a fixed partition of n, its
-    anchor: (n), (n-1,1), the two-row (ceil(n/2), floor(n/2)) that (k,k)
-    is for even n, (n-2,2) or (n-2,1,1) (the rectangle clause's partner),
-    or the first operand of an exceptional pair.  Each anchor has at most
-    three rows and is held padded with zeros to three entries.
+    Each test reads the operands p and q and their faces x and y under
+    one conjugation choice.  It needs one argument's face to equal its
+    anchor, a partition of n: (n), (n-1,1), the two-row (ceil(n/2),
+    floor(n/2)) that (k,k) is for even n (kk is None for odd n), (n-2,2)
+    or (n-2,1,1) (the rectangle clause's partner), or the first operand
+    of an exceptional pair.  Labels are faces, left unchecked: a face is
+    a partition of n, padded, so it equals no label that is not one.
     """
     k, r = divmod(n, 2)
-    row = Partition((n,))
-    natural = _try_partition((n - 1, 1))
-    two_row = Partition((k + r, k))
+    row, natural, two_row = (n, 0, 0), (n - 1, 1, 0), (k + r, k, 0)
     kk = None if r else two_row
-    kk_partners = _labels((k + 1, k - 1), (n - 3, 3))
-    rect_partners = _labels((n - 2, 2), (n - 2, 1, 1))
-    exceptional = {x for x, _ in _EXCEPTIONAL_PAIRS if x.n == n}
-    anchors = {row, natural, two_row, *rect_partners, *exceptional} - {None}
-    return frozenset((*p, 0, 0)[:3] for p in anchors), (
-        lambda x, y: x == row,
-        lambda x, y: x == natural and is_fat_hook(y),
-        lambda x, y: x == two_row and y == two_row,
-        lambda x, y: x == kk and (is_hook(y) or y in kk_partners),
-        lambda x, y: is_rectangle(x) and y in rect_partners,
-        lambda x, y: (x, y) in _EXCEPTIONAL_PAIRS,
+    kk_partners = {(k + 1, k - 1, 0), (n - 3, 3, 0)}
+    rect_partners = {(n - 2, 2, 0), (n - 2, 1, 1)}
+    anchors = {row, natural, two_row, *rect_partners, *(x for x, _ in _EXCEPTIONAL_PAIRS)}
+    return frozenset(anchors), (
+        lambda x, y, p, q: x == row,
+        lambda x, y, p, q: x == natural and is_fat_hook(q),
+        lambda x, y, p, q: x == two_row and y == two_row,
+        lambda x, y, p, q: x == kk and (is_hook(q) or y in kk_partners),
+        lambda x, y, p, q: is_rectangle(p) and y in rect_partners,
+        lambda x, y, p, q: (x, y) in _EXCEPTIONAL_PAIRS,
     )
-
-
-def _anchored(p: Partition, anchors: frozenset[tuple[int, int, int]]) -> bool:
-    """Is p, or its conjugate, one of the anchors?  No conjugate is built.
-
-    Every anchor has at most three rows, so p can be one only if it has
-    at most three parts, and p' only if p_1 <= 3.  Then column j of p
-    counts the parts >= j: p' = (l, l - m_1, m_3), l being the number of
-    parts and m_i the number equal to i, as padded to three entries.
-    """
-    if len(p) <= 3 and (*p, 0, 0)[:3] in anchors:
-        return True
-    return p[0] <= 3 and (len(p), len(p) - p.count(1), p.count(3)) in anchors
 
 
 def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
@@ -122,25 +108,30 @@ def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     Clauses are tried in order, each under the conjugation choices in
     ``_CONJ_COMBOS`` order, and the first match is reported.
 
-    Soundness of the early reject.  Every clause test needs one of its
-    arguments to equal an anchor of ``_pair_clauses``, and each argument
-    is lam, mu or one of their conjugates.  So a clause can hold only if
-    lam or mu is an anchor or an anchor's conjugate, and otherwise the
-    answer is ``MF_NO`` before any conjugate is built.
+    Soundness of reading faces: no conjugate is built.  A clause
+    compares an argument, plain or conjugated, with partitions of at
+    most three rows, which it equals iff its face equals theirs padded
+    (a longer argument has face ()).  Otherwise it asks whether an
+    operand is a fat hook, a hook or a rectangle.  p' has the corners of
+    p transposed, so as many distinct parts, and (l, 1^(p_1 - 1)) is a
+    hook iff (p_1, 1^(l - 1)) is: the operand itself is asked.  So each
+    clause fires where it fires on the conjugates, with the same tags.
+    If none of the four faces is an anchor, no clause fires.
     """
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
-    if lam.n < 1:
+    n = lam.n
+    if n != mu.n:
+        raise ValueError(f"degree mismatch: {n} vs {mu.n}")
+    if n < 1:
         raise ValueError("degree must be at least 1")
-    anchors, clauses = _pair_clauses(lam.n)
-    if not (_anchored(lam, anchors) or _anchored(mu, anchors)):
+    anchors, clauses = _pair_clauses(n)
+    lam_faces = _face(lam, False), _face(lam, True)
+    mu_faces = _face(mu, False), _face(mu, True)
+    if anchors.isdisjoint(lam_faces + mu_faces):
         return MF_NO
-    lam_t, mu_t = conjugate(lam), conjugate(mu)
     for clause, holds in enumerate(clauses, start=1):
         for (cl, cr), norm in _CONJ_COMBOS:
-            a = lam_t if cl else lam
-            b = mu_t if cr else mu
-            if holds(a, b) or holds(b, a):
+            x, y = lam_faces[cl], mu_faces[cr]
+            if holds(x, y, lam, mu) or holds(y, x, mu, lam):
                 return MfVerdict(True, f"pair-case-{clause}", norm)
     return MF_NO
 
@@ -455,9 +446,11 @@ def small_depth_products(
 
     acc = CharacterExpansion.zero(degree)
     for parts in raw:
-        p = _try_partition(parts)
-        if p is not None:
-            acc = acc + CharacterExpansion.irreducible(p)
+        try:
+            p = Partition(parts)
+        except ValueError:  # the indicator convention: a non-partition label contributes nothing
+            continue
+        acc = acc + CharacterExpansion.irreducible(p)
     return acc
 
 

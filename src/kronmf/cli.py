@@ -7,13 +7,15 @@ invocations produce byte-identical stdout; timing goes to stderr.
 Exit codes: 0 success (and multiplicity-free for classify), 1 for a
 negative classification or verification mismatches, 2 for usage errors
 (bad grammar, a flag the subcommand does not read, degree mismatch,
-exceeded ceilings), each reported as one line on stderr.
+exceeded ceilings) and faults outside the program (an unwritable
+stdout, such as a closed pipe), each reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import factorial
@@ -289,8 +291,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (CliError, TableCeilingError) as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except (CliError, TableCeilingError, OSError) as exc:
+        if isinstance(exc, OSError) and sys.stdout is sys.__stdout__:
+            # stdout may be what failed (a closed pipe, a full device): point
+            # fd 1 at the null device, so that the flush at exit cannot fail
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -278,16 +278,16 @@ def is_linear(p: Partition) -> bool:
 
 
 def is_rectangle(p: Partition) -> bool:
-    return len(set(p)) <= 1
+    return not p or p[0] == p[-1]
 
 
 def is_hook(p: Partition) -> bool:
-    return bool(p) and all(part == 1 for part in p[1:])
+    return len(p) == 1 or len(p) > 1 and p[1] == 1
 
 
 def is_fat_hook(p: Partition) -> bool:
-    """At most two different part values."""
-    return len(set(p)) <= 2
+    """At most two different part values: every part is p_1 or p_l."""
+    return is_rectangle(p) or p.count(p[0]) + p.count(p[-1]) == len(p)
 
 
 def is_two_line(p: Partition) -> bool:
@@ -297,17 +297,15 @@ def is_two_line(p: Partition) -> bool:
 def is_near_rectangle(p: Partition) -> bool:
     """A rectangle with one extra row or column (a special fat hook).
 
-    Checked as: deleting one part of p, or one part of its conjugate,
-    leaves a rectangle.  Closed under conjugation by construction.
+    Read from the two runs of p = (a^x, b^y), a > b: deleting one part
+    of p leaves a rectangle iff x = 1 or y = 1, and one part of its
+    conjugate ((x + y)^b, x^(a - b)) iff b = 1 or a - b = 1.  Closed
+    under conjugation, as that swaps the two pairs.
     """
-    if len(set(p)) != 2:
+    if is_rectangle(p) or not is_fat_hook(p):
         return False
-    for q in (p, conjugate(p)):
-        for i in range(len(q)):
-            rest = q[:i] + q[i + 1:]
-            if len(set(rest)) <= 1:
-                return True
-    return False
+    x = p.count(p[0])
+    return 1 in (x, len(p) - x, p[-1], p[0] - p[-1])
 
 
 def classify_shape(p: Partition) -> ShapeClass:

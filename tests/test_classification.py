@@ -5,6 +5,7 @@ import pytest
 from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.classification import (
     KK_N33_SMALL_EXCEPTIONS,
+    _face,
     is_mf_pair,
     is_mf_skew_times_irr,
     is_mf_triple,
@@ -97,6 +98,12 @@ class TestIsMfPair:
         # an anchor fails here
         from kronmf import classification
 
+        class EveryFace:
+            """An anchor set that holds every face: the reject never fires."""
+
+            def isdisjoint(self, faces):
+                return False
+
         def pairs():
             for n in range(1, 15):
                 parts = enumerate_partitions(n)
@@ -105,11 +112,12 @@ class TestIsMfPair:
                         yield lam, mu
 
         expected = [is_mf_pair(lam, mu) for lam, mu in pairs()]
-        monkeypatch.setattr(classification, "_anchored", lambda p, anchors: True)
+        pair_clauses = classification._pair_clauses
+        monkeypatch.setattr(classification, "_pair_clauses", lambda n: (EveryFace(), pair_clauses(n)[1]))
         for (lam, mu), v in zip(pairs(), expected, strict=True):
             assert is_mf_pair(lam, mu) == v, (lam, mu)
             if v:
-                anchors, _ = classification._pair_clauses(lam.n)
+                anchors, _ = pair_clauses(lam.n)
                 assert any(
                     len(q) <= 3 and (*q, 0, 0)[:3] in anchors
                     for q in (lam, conjugate(lam), mu, conjugate(mu))
@@ -118,6 +126,40 @@ class TestIsMfPair:
     def test_verdict_invariants(self):
         v = is_mf_pair(P(4, 2), P(4, 2))
         assert v.clause is None and not v.multiplicity_free
+
+    def test_face_is_the_padded_partition_or_its_conjugate(self):
+        # the face is read from part counts; checked against the conjugate,
+        # which has at most three rows iff p_1 <= 3
+        def padded(q):
+            return (*q, 0, 0)[:3] if len(q) <= 3 else ()
+
+        long_ones = [P(*(a,) * k) for a in (1, 2, 3) for k in (1, 2, 3, 4, 10**3, 10**6)]
+        for p in [q for n in range(1, 15) for q in enumerate_partitions(n)] + long_ones:
+            assert _face(p, False) == padded(p), p
+            assert _face(p, True) == padded(conjugate(p)), p
+
+    def test_builds_no_conjugate(self, monkeypatch):
+        from kronmf import classification, partitions
+
+        def refuse(p):
+            raise AssertionError(f"conjugate of {len(p)} parts built")
+
+        n = 10**6
+        small = [(lam, mu) for m in range(1, 11) for lam in enumerate_partitions(m) for mu in enumerate_partitions(m)]
+        huge = [(P(n - 1, 1), P(n - 1, 1)), (P(n - 2, 2), P(n - 3, 3)), (P(n - 4, 2, 2), P(n - 2, 1, 1))]
+        for k in (1, 2, 3):
+            q = P(*(k,) * n)
+            huge += [(q, q), (q, P(k * n - 1, 1)), (P(k * n // 2 + 1, k * n // 2 - 1), q)]
+        expected = [is_mf_pair(lam, mu) for lam, mu in small + huge]
+        assert [v.clause for v in expected[len(small):]] == [
+            "pair-case-2", None, None,
+            "pair-case-1", "pair-case-1", "pair-case-1",
+            "pair-case-3", "pair-case-2", "pair-case-4",
+            None, "pair-case-2", None,
+        ]
+        monkeypatch.setattr(classification, "conjugate", refuse)
+        monkeypatch.setattr(partitions, "conjugate", refuse)
+        assert [is_mf_pair(lam, mu) for lam, mu in small + huge] == expected
 
 
 class TestIsMfTriple:

@@ -505,6 +505,44 @@ def test_long_operands_answer_without_recursion(argv, stdout):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv", [("table", "14"), ("kron", "3^3", "3^3")], ids=["table", "kron"])
+def test_closed_pipe_is_one_line_exit_2(argv):
+    # the reader is gone before the program starts, as with `| head -1`
+    # after it has read its line, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "kronmf", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_device_is_one_line_exit_2():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "kronmf", "kron", "3^3", "3^3"], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_output_fault_in_process_leaves_a_redirected_stdout_alone(monkeypatch):
+    # a caller that redirects stdout to a StringIO (which has no file
+    # descriptor) gets the one-line error and keeps its stdout
+    import kronmf.cli
+
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(kronmf.cli, "kron_product", full)
+    res = run_cli("kron", "2,1", "2,1")
+    assert res.returncode == 2
+    assert res.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # the program runs in one process, and every module it imports without
     # using slows every start; compared with a bare interpreter, so that

@@ -317,7 +317,7 @@ class TestDvir:
                 assert kron_product(mu, natural_conjugate, "dvir") == expected, mu
 
 
-_TAILS = [p for d in range(4) for p in enumerate_partitions(d)]
+_TAILS = [p for d in range(6) for p in enumerate_partitions(d)]
 _TAIL_PAIRS = [(a, b) for i, a in enumerate(_TAILS) for b in _TAILS[i:]]
 
 
@@ -332,7 +332,10 @@ class TestStability:
     """
 
     @pytest.mark.parametrize("lam_bar, mu_bar", _TAIL_PAIRS, ids=lambda bar: str(bar) or "0")
-    def test_product_settles_by_the_bound(self, lam_bar, mu_bar):
+    def test_product_settles_by_the_bound(self, lam_bar, mu_bar, monkeypatch):
+        # N0 reaches 20 at tails of size 5; the oracle refuses n > 14 by default
+        monkeypatch.setenv("KRONMF_TABLE_CEILING", "20")
+
         def pad(bar, n):
             return P(n - bar.n, *bar)
 
@@ -341,7 +344,7 @@ class TestStability:
 
         n0 = lam_bar.n + mu_bar.n + lam_bar.width + mu_bar.width
         stable = kron_product(pad(lam_bar, n0), pad(mu_bar, n0), "dvir")
-        # the two engines agree where both reach: every N0 here is <= 12
+        # the two engines agree where both reach: every N0 here is <= 20
         assert stable == kron_product_oracle(pad(lam_bar, n0), pad(mu_bar, n0))
         for n in (n0 + 1, 10**3, 10**6):
             assert stripped(kron_product(pad(lam_bar, n), pad(mu_bar, n), "dvir")) == stripped(stable), n

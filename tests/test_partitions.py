@@ -26,6 +26,9 @@ from kronmf.partitions import (
     hook_length,
     intersect,
     is_fat_hook,
+    is_hook,
+    is_near_rectangle,
+    is_rectangle,
     iter_subpartitions,
     is_proper_skew,
     parse_partition,
@@ -215,6 +218,35 @@ class TestClassifyShape:
         for n in range(13):
             for p in enumerate_partitions(n):
                 assert classify_shape(p).tag
+
+
+class TestShapePredicates:
+    def test_same_on_a_partition_and_its_conjugate(self):
+        # the pair classifier asks these of an operand in place of its conjugate
+        for n in range(1, 15):
+            for p in enumerate_partitions(n):
+                for shape in (is_hook, is_rectangle, is_fat_hook):
+                    assert shape(p) == shape(conjugate(p)), (shape.__name__, p)
+
+    def test_read_from_the_ends_as_from_every_part(self):
+        for n in range(15):
+            for p in enumerate_partitions(n):
+                assert is_rectangle(p) == (len(set(p)) <= 1), p
+                assert is_fat_hook(p) == (len(set(p)) <= 2), p
+                assert is_hook(p) == (bool(p) and all(part == 1 for part in p[1:])), p
+
+    def test_near_rectangle_from_the_two_runs(self):
+        # the reference deletes one part of p, or of its conjugate, and
+        # asks for a rectangle
+        def reference(p):
+            if len(set(p)) != 2:
+                return False
+            return any(len(set(q[:i] + q[i + 1:])) <= 1 for q in (p, conjugate(p)) for i in range(len(q)))
+
+        shapes = [p for n in range(19) for p in enumerate_partitions(n)]
+        assert len(shapes) == 1597
+        for p in shapes:
+            assert is_near_rectangle(p) == reference(p), p
 
 
 class TestHookCounts:
