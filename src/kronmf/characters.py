@@ -47,7 +47,7 @@ import os
 import sys
 from array import array
 from functools import cache
-from itertools import compress
+from itertools import compress, groupby
 from math import factorial, isqrt
 from operator import mul
 from typing import Iterable, Iterator
@@ -145,14 +145,11 @@ def character_value(lam: Partition, rho: Partition) -> int:
 
 def class_size(rho: Partition) -> int:
     """Number of permutations with cycle type rho: n! / prod i^{m_i} m_i!."""
-    n = rho.n
     z = 1
-    mult: dict[int, int] = {}
-    for part in rho:
-        mult[part] = mult.get(part, 0) + 1
-    for i, m in mult.items():
-        z *= i**m * factorial(m)
-    size, rem = divmod(factorial(n), z)
+    for part, run in groupby(rho):
+        m = len(list(run))
+        z *= part**m * factorial(m)
+    size, rem = divmod(factorial(rho.n), z)
     assert rem == 0
     return size
 
@@ -485,7 +482,9 @@ def kron_row_oracle(lam: Partition, mus: Iterable[Partition]) -> Iterator[Charac
     the low words of all slots are the one strided slice [::W].
 
     Every product is also checked: sum of g dim nu = dim lam dim mu, one
-    C-level sum over the slots against the hook-length dimensions.
+    C-level sum over the slots against ``_packed``'s hook-length
+    dimensions; dim lam and dim mu are read at the row index that finds
+    their table rows.
     """
     n = lam.n
     t = character_table(n)
@@ -496,18 +495,20 @@ def kron_row_oracle(lam: Partition, mus: Iterable[Partition]) -> Iterator[Charac
     limit = 1 << (8 * slot)
     # every bit of every slot above its low word; 0 for one-word slots
     high = int.from_bytes((bytes(8) + b"\xff" * (slot - 8)) * len(t.rows), "little")
-    dim_lam = dimension(lam)
-    weighted = list(map(mul, map(mul, t.class_sizes, t.row(lam)), columns))
+    i = t._index[lam]
+    dim_lam = dims[i]
+    weighted = list(map(mul, map(mul, t.class_sizes, t.values[i]), columns))
     for mu in mus:
         if mu.n != n:
             raise ValueError(f"degree mismatch: {n} vs {mu.n}")
-        q, r = divmod(sum(map(mul, t.row(mu), weighted)), nfact)
+        j = t._index[mu]
+        q, r = divmod(sum(map(mul, t.values[j], weighted)), nfact)
         words = array("Q", q.to_bytes(size, "little"))
         if sys.byteorder == "big":
             words.byteswap()
         low = words[::width]
         assert r == 0 and not q & high and max(low) * nfact < limit
-        assert sum(map(mul, low, dims)) == dim_lam * dimension(mu)
+        assert sum(map(mul, low, dims)) == dim_lam * dims[j]
         yield CharacterExpansion(n, dict(compress(zip(t.rows, low), low)), _trusted=True)
 
 

@@ -132,8 +132,12 @@ def _render_expansion(exp: CharacterExpansion, fmt: str, left: Partition, right:
             },
             separators=(",", ":"),
         )
+    # a label with a comma is one quoted field, as csv.writer writes it;
+    # quoted here so that the csv module stays off the start-up path
     lines = ["partition,multiplicity"]
-    lines.extend(f"{format_partition(p)},{exp[p]}" for p in exp.support())
+    for p in exp.support():
+        label = format_partition(p)
+        lines.append(f'"{label}",{exp[p]}' if "," in label else f"{label},{exp[p]}")
     return "\n".join(lines)
 
 

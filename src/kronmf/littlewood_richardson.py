@@ -4,7 +4,8 @@ Skew characters are expanded into irreducibles by enumerating
 column-strict fillings whose reverse reading word is a lattice word.
 The enumeration fills cells row by row, right to left inside each row,
 which is exactly reverse reading order, so the lattice condition can be
-maintained incrementally with a single counts array.
+maintained incrementally with a single counts array; in that order the
+row ends give each cell's right and upper neighbour by arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ from .verdict import MF_NO, MfVerdict
 def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
     """Tally LR tableau contents over all fillings of outer/inner.
 
+    Cells are numbered in fill order, rows top to bottom, each right to
+    left: row i spans columns a(i) < j <= b(i) (a = inner, b = outer) and
+    its column-j cell is start(i) + b(i) - j.  So the cell right of cell k
+    is k - 1 when j < b(i), and the cell above is start(i-1) + b(i-1) - j
+    when a(i-1) < j <= b(i-1); no cell lies above any other column, nor
+    above the first row or a row under an empty span.
+
     A content is the counts of a lattice word: every value v > 1 is
     placed only while counts[v - 1] > counts[v], so the nonzero counts
     are weakly decreasing and each content is built unchecked.  A
@@ -41,43 +49,31 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
     distinct array has one content, built once at the end, so the
     contents keep the order in which they were first met.
     """
-    spans = [(inner.row(i), outer[i - 1]) for i in range(1, len(outer) + 1)]
-    cells: list[tuple[int, bool, bool]] = []  # (row, has_right_in_shape, has_above_in_shape)
-    for i, (a, b) in enumerate(spans, start=1):
+    # per cell: its row, whether a cell lies to its right, the cell above or -1
+    row_of, has_right, above = [], [], []
+    a0 = b0 = start0 = 0  # span and first cell of the row above
+    for i, b in enumerate(outer, start=1):
+        a = inner.row(i)
+        start = len(row_of)
         for j in range(b, a, -1):
-            has_right = j < b
-            has_above = i > 1 and spans[i - 2][0] < j <= spans[i - 2][1]
-            cells.append((i, has_right, has_above))
-    ncells = len(cells)
+            row_of.append(i)
+            has_right.append(j < b)
+            above.append(start0 + b0 - j if a0 < j <= b0 else -1)
+        a0, b0, start0 = a, b, start
+    ncells = len(row_of)
     if ncells == 0:
         return {EMPTY: 1}
     tally: dict[tuple[int, ...], int] = {}
-
-    nrows = len(spans)
-    counts = [0] * (nrows + 2)
+    counts = [0] * (len(outer) + 2)
     values = [0] * ncells
-    # index of the cell above / to the right of each cell, in fill order
-    above_of = [-1] * ncells
-    right_of = [-1] * ncells
-    pos: dict[tuple[int, int], int] = {}
-    k = 0
-    for i, (a, b) in enumerate(spans, start=1):
-        for j in range(b, a, -1):
-            pos[(i, j)] = k
-            if cells[k][1]:
-                right_of[k] = pos[(i, j + 1)]
-            if cells[k][2]:
-                above_of[k] = pos[(i - 1, j)]
-            k += 1
 
     # Backtrack by index: cell k takes its next admissible value v, or
     # the search goes back to cell k - 1 and moves it past its value.
-    k = 0
-    v = 1  # the first cell has no cell above it
+    k, v = 0, 1  # the first cell has no cell above it
     while True:
-        hi = cells[k][0]
-        if right_of[k] >= 0:
-            hi = min(hi, values[right_of[k]])
+        hi = row_of[k]
+        if has_right[k]:
+            hi = min(hi, values[k - 1])
         while v <= hi and v > 1 and counts[v - 1] <= counts[v]:
             v += 1
         if v <= hi:
@@ -85,7 +81,7 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
             values[k] = v
             if k + 1 < ncells:
                 k += 1
-                v = values[above_of[k]] + 1 if above_of[k] >= 0 else 1
+                v = values[above[k]] + 1 if above[k] >= 0 else 1
                 continue
             key = tuple(counts)
             tally[key] = tally.get(key, 0) + 1
@@ -163,8 +159,19 @@ class PathProfile(NamedTuple):
     outer_removable_count: int
 
 
-def _segments(runs: list[int]) -> list[int]:
-    return [r for r in runs if r]
+def _rim(row_ends, width: int) -> list[int]:
+    """Nonempty segment lengths of the path along row_ends, bottom row
+    first: each longer row ends an upward run and steps right, and the
+    path closes with the last run and the step to width."""
+    segs: list[int] = []
+    x = up = 0
+    for end in row_ends:
+        if end > x:
+            segs += (up, end - x)
+            x, up = end, 0
+        up += 1
+    segs += (up, width - x)
+    return [r for r in segs if r]
 
 
 def _rim_paths(s: SkewShape) -> tuple[list[int], list[int]]:
@@ -175,34 +182,8 @@ def _rim_paths(s: SkewShape) -> tuple[list[int], list[int]]:
     an upward segment), the outer one hugs the outer partition (starting
     rightward).  Lengths count unit cell edges.
     """
-    ell = len(s.outer)
-    w = s.outer.width
-    inner_runs: list[int] = []
-    x = 0
-    up = 0
-    for y in range(ell):
-        target = s.inner.row(ell - y)
-        if target > x:
-            inner_runs.extend((up, target - x))
-            up = 0
-            x = target
-        up += 1
-    inner_runs.extend((up, w - x))
-
-    outer_runs: list[int] = []
-    x = 0
-    up = 0
-    for y in range(ell):
-        target = s.outer.row(ell - y)
-        if target > x:
-            if up:
-                outer_runs.append(up)
-                up = 0
-            outer_runs.append(target - x)
-            x = target
-        up += 1
-    outer_runs.append(up)
-    return _segments(inner_runs), _segments(outer_runs)
+    inner = (0,) * (len(s.outer) - len(s.inner)) + s.inner[::-1]
+    return _rim(inner, s.outer.width), _rim(s.outer[::-1], s.outer.width)
 
 
 def path_profile(s: SkewShape) -> PathProfile:

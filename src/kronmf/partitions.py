@@ -11,8 +11,8 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from functools import cache, lru_cache
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, groupby, repeat
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -220,7 +220,6 @@ def hook_counts(p: Partition) -> dict[str, int]:
     return {"h1": h1, "h2": h2, "h3": h3, "h21": h21}
 
 
-@cache
 def dimension(p: Partition) -> int:
     """Number of standard Young tableaux of shape p (hook length formula).
 
@@ -606,17 +605,10 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     """Render with exponents for runs of length three or more."""
-    if not p:
-        return ""
     out = []
-    i = 0
-    while i < len(p):
-        j = i
-        while j < len(p) and p[j] == p[i]:
-            j += 1
-        run = j - i
-        out.append(f"{p[i]}^{run}" if run >= 3 else ",".join([str(p[i])] * run))
-        i = j
+    for part, run in groupby(p):
+        m = len(list(run))
+        out.append(f"{part}^{m}" if m >= 3 else ",".join([str(part)] * m))
     return ",".join(out)
 
 

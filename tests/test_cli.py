@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ import pytest
 
 from kronmf.cli import _render_expansion, main
 from kronmf.expansion import CharacterExpansion
-from kronmf.partitions import Partition
+from kronmf.kronecker import kron_product
+from kronmf.partitions import Partition, enumerate_partitions
 
 
 def run_cli(*args, env_extra=None):
@@ -93,7 +95,21 @@ class TestKron:
         assert json.loads(_render_expansion(exp, "json", "a", "b"))["terms"] == [
             {"p": "4", "m": 1}, {"p": "2,2", "m": 2}, {"p": "1^4", "m": 1},
         ]
-        assert _render_expansion(exp, "csv", "a", "b") == "partition,multiplicity\n4,1\n2,2,2\n1^4,1"
+        assert _render_expansion(exp, "csv", "a", "b") == 'partition,multiplicity\n4,1\n"2,2",2\n1^4,1'
+
+    def test_csv_reads_back_as_the_json_terms(self):
+        # a label holding a comma is one quoted field, so a csv reader
+        # sees two fields on every row
+        for n in range(7):
+            parts = enumerate_partitions(n)
+            for lam in parts:
+                for mu in parts:
+                    exp = kron_product(lam, mu)
+                    rows = list(csv.reader(io.StringIO(_render_expansion(exp, "csv", lam, mu))))
+                    assert rows[0] == ["partition", "multiplicity"]
+                    terms = json.loads(_render_expansion(exp, "json", lam, mu))["terms"]
+                    assert rows[1:] == [[t["p"], str(t["m"])] for t in terms], (lam, mu)
+        assert run_cli("kron", "3", "2,1", "--format", "csv").stdout == 'partition,multiplicity\n"2,1",1\n'
 
 
 class TestCoeff:

@@ -3,6 +3,8 @@ import pytest
 from conftest import brute_lr_tally, brute_skew_syt, brute_syt_count
 from kronmf.expansion import CharacterExpansion
 from kronmf.littlewood_richardson import (
+    _lr_counts,
+    _rim_paths,
     is_mf_outer,
     is_mf_skew,
     lr_coefficient,
@@ -18,6 +20,9 @@ from kronmf.partitions import (
     enumerate_basic_skew_shapes,
     enumerate_partitions,
     intersect,
+    iter_subpartitions,
+    rotate_skew,
+    skew_normalize,
 )
 
 
@@ -118,6 +123,23 @@ class TestSkewExpand:
                     if basic.size:
                         assert skew_expand(rotate_skew(basic)) == skew_expand(basic)
 
+    def test_every_shape_a_band_reads_up_to_size_9(self):
+        # a band reads lam/alpha for every alpha inside lam, with empty
+        # rows and columns left in: each tally equals its basic form's, and
+        # its dimensions add up to the shape's standard fillings
+        shapes = 0
+        for n in range(1, 10):
+            for lam in enumerate_partitions(n):
+                for m in range(n + 1):
+                    for alpha in iter_subpartitions(lam, m):
+                        basic = skew_normalize(SkewShape(lam, alpha)).basic
+                        tally = _lr_counts(lam, alpha)
+                        assert tally == _lr_counts(basic.outer, basic.inner), (lam, alpha)
+                        total = sum(c * brute_syt_count(nu) for nu, c in tally.items())
+                        assert total == brute_skew_syt(lam, alpha), (lam, alpha)
+                        shapes += 1
+        assert shapes == 1591
+
     def test_disconnected_equals_outer_product_of_components(self):
         from kronmf.partitions import skew_normalize
 
@@ -195,6 +217,46 @@ class TestPathProfile:
             path_profile(SkewShape((3, 2), (3,)))
         with pytest.raises(ValueError):
             path_profile(SkewShape((2, 2), (2, 2)))
+
+
+def _rim_paths_by_two_loops(s):
+    """The rim paths as drawn before one walker drew both: the reference."""
+    ell = len(s.outer)
+    w = s.outer.width
+    inner_runs = []
+    x = 0
+    up = 0
+    for y in range(ell):
+        target = s.inner.row(ell - y)
+        if target > x:
+            inner_runs.extend((up, target - x))
+            up = 0
+            x = target
+        up += 1
+    inner_runs.extend((up, w - x))
+
+    outer_runs = []
+    x = 0
+    up = 0
+    for y in range(ell):
+        target = s.outer.row(ell - y)
+        if target > x:
+            if up:
+                outer_runs.append(up)
+                up = 0
+            outer_runs.append(target - x)
+            x = target
+        up += 1
+    outer_runs.append(up)
+    return [r for r in inner_runs if r], [r for r in outer_runs if r]
+
+
+class TestRimPaths:
+    def test_equal_to_the_two_loops_on_every_basic_shape_up_to_size_9(self):
+        for size in range(1, 10):
+            for s in enumerate_basic_skew_shapes(size):
+                for shape in (s, rotate_skew(s)):
+                    assert _rim_paths(shape) == _rim_paths_by_two_loops(shape), shape
 
 
 class TestIsMfSkew:

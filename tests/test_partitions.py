@@ -548,6 +548,27 @@ class TestGrammar:
         assert format_partition(P(1, 1, 1, 1)) == "1^4"
         assert format_partition(P(5, 4, 2, 2, 2, 1)) == "5,4,2^3,1"
 
+    def test_format_equals_the_index_walk(self):
+        def by_index(p):
+            # the run walk format_partition used before it read groupby runs
+            if not p:
+                return ""
+            out = []
+            i = 0
+            while i < len(p):
+                j = i
+                while j < len(p) and p[j] == p[i]:
+                    j += 1
+                run = j - i
+                out.append(f"{p[i]}^{run}" if run >= 3 else ",".join([str(p[i])] * run))
+                i = j
+            return ",".join(out)
+
+        shapes = [p for n in range(19) for p in enumerate_partitions(n)]
+        shapes += [P(*[part] * k) for part in (1, 2) for k in (1, 2, 3, 4, 10, 1000, 10**6)]
+        for p in shapes:
+            assert format_partition(p) == by_index(p)
+
     @given(partitions_st)
     def test_round_trip(self, p):
         assert parse_partition(format_partition(p)) == p
