@@ -31,6 +31,7 @@ from .littlewood_richardson import skew_expand
 from .partitions import (
     Partition,
     SkewShape,
+    _parts_at_least,
     add_node,
     addable_nodes,
     conjugate,
@@ -65,10 +66,10 @@ def _face(p: Partition, conjugated: bool) -> tuple[int, ...]:
     """p, or p' if conjugated, padded with zeros to three rows; () if longer.
 
     p' has at most three rows iff p_1 <= 3; then column j counts the
-    parts >= j: p' = (l, l - m_1, m_3), l parts in all, m_i equal to i.
+    parts >= j, each read by one bisection.
     """
     if conjugated:
-        return (len(p), len(p) - p.count(1), p.count(3)) if p[0] <= 3 else ()
+        return (len(p), _parts_at_least(p, 2), _parts_at_least(p, 3)) if p[0] <= 3 else ()
     return (*p, 0, 0)[:3] if len(p) <= 3 else ()
 
 
@@ -281,16 +282,8 @@ def kk_square(k: int) -> CharacterExpansion:
 
 def kk_times_near(k: int) -> CharacterExpansion:
     """[k,k].[k+1,k-1]: the complement of the square inside length <= 4."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = 2 * k
-    terms = {}
-    for p in enumerate_partitions(n, max_length=4):
-        if len(p) < 4 and not _all_even(p):
-            terms[p] = 1
-        elif len(p) == 4 and not _all_even(p) and not _all_odd(p):
-            terms[p] = 1
-    return CharacterExpansion(n, terms)
+    square = kk_square(k)
+    return CharacterExpansion(2 * k, {p: 1 for p in enumerate_partitions(2 * k, max_length=4) if not square[p]})
 
 
 def kk_times_hook_mult(k: int, b: int, nu: Partition) -> int:

@@ -223,17 +223,19 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
             return MfVerdict(True, f"skew-two-components:{sub.clause}", sub.normalization)
         return MF_NO
 
+    # the rotation of a basic shape is basic, so both rims are read
+    # directly, without ``path_profile``'s check
     for shape, rotated in ((basic, False), (rotate_skew(basic), True)):
         if shape.inner == EMPTY or not is_rectangle(shape.inner):
             continue
         norm_tag = ("rotated",) if rotated else ()
-        prof = path_profile(shape)
-        r = prof.outer_removable_count
-        if prof.s_in == 1:
+        inner_segs, outer_segs = _rim_paths(shape)
+        s_in, s_out, r = min(inner_segs), min(outer_segs), len(removable_nodes(shape.outer))
+        if s_in == 1:
             return MfVerdict(True, "skew-sin-1", norm_tag)
-        if prof.s_in == 2 and r == 3:
+        if s_in == 2 and r == 3:
             return MfVerdict(True, "skew-sin-2-rem-3", norm_tag)
-        if prof.s_out == 1 and r == 3:
+        if s_out == 1 and r == 3:
             return MfVerdict(True, "skew-sout-1-rem-3", norm_tag)
         if r == 2:
             return MfVerdict(True, "skew-rem-2", norm_tag)

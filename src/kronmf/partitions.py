@@ -3,7 +3,9 @@
 Everything downstream (characters, Littlewood-Richardson expansions, the
 Kronecker engines) consumes the types defined here.  All values are
 immutable and hashable, so they can be used as memo keys and shared
-freely between threads.
+freely between threads.  Skew shapes are read as row spans: one walk
+over the rows gives a shape's basic form and its components, and the
+basic shapes of a size are listed from their row lengths and offsets.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, product, repeat
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -261,9 +263,6 @@ def enumerate_partitions(
 
 # --- shape classification (the vocabulary of the multiplicity-free families) ---
 
-SHAPE_TAGS = ("empty", "linear", "natural-label", "two-line", "hook", "rectangle", "fat-hook", "general")
-
-
 class ShapeClass(NamedTuple):
     tag: str
     qualifiers: frozenset[str]
@@ -284,9 +283,14 @@ def is_hook(p: Partition) -> bool:
     return len(p) == 1 or len(p) > 1 and p[1] == 1
 
 
+def _parts_at_least(p: Partition, m: int) -> int:
+    """The number of parts >= m, by one bisection, as in ``conjugate``."""
+    return bisect_right(p, -m, key=operator.neg)
+
+
 def is_fat_hook(p: Partition) -> bool:
-    """At most two different part values: every part is p_1 or p_l."""
-    return is_rectangle(p) or p.count(p[0]) + p.count(p[-1]) == len(p)
+    """At most two part values: the run of p_1 ends where that of p_l starts."""
+    return is_rectangle(p) or _parts_at_least(p, p[0]) == _parts_at_least(p, p[-1] + 1)
 
 
 def is_two_line(p: Partition) -> bool:
@@ -303,7 +307,7 @@ def is_near_rectangle(p: Partition) -> bool:
     """
     if is_rectangle(p) or not is_fat_hook(p):
         return False
-    x = p.count(p[0])
+    x = _parts_at_least(p, p[0])
     return 1 in (x, len(p) - x, p[-1], p[0] - p[-1])
 
 
@@ -418,41 +422,47 @@ class SkewNormalForm(NamedTuple):
     label: Partition | None
 
 
-def _strip_to_basic(s: SkewShape) -> SkewShape:
-    """Drop empty rows and columns, keeping the cells' relative layout.
+def _basic_and_components(s: SkewShape) -> tuple[SkewShape, list[SkewShape]]:
+    """The basic form of s and its edge-connected components, top to
+    bottom, from one walk over the nonempty rows (a, b], bottom up;
+    ``below`` is the end of the nonempty row below (0 under the last).
 
-    Walk the nonempty rows (a, b] from the bottom up, ``below`` being the
-    end of the nonempty row below (0 under the last one).  The empty
-    columns left of a row's start a are the gaps (below, a] of this row
-    and of every row under it: a gap of a row higher up lies right of
-    that row's own end.  So each row moves left by ``shift``, the sum of
-    those gaps so far.  A shape with no empty row and no gap is basic,
-    and is its own basic form: it is returned as it is.
-
-    Soundness of the unchecked build.  Moving a row left by its shift
-    keeps its length b - a > 0.  Going up a row, the shift grows by
+    Basic form.  The empty columns left of a row's start are the gaps
+    (below, a] of this row and of every row under it (a gap higher up
+    lies right of this row's end), so each row moves left by ``shift``,
+    the sum of those gaps so far.  Going up a row, the shift grows by
     a - below when that is positive, which takes the row's new start to
-    the new end of the row below and its new end past it; otherwise both
-    ends stay at or right of those below.  So the new ends and starts
-    are weakly decreasing going down, every start is at least 0 (the
-    last one is 0) and below its own end: a skew shape of the same size.
+    the new end of the row below; otherwise both ends stay at or right
+    of those below.  So starts and ends stay weakly decreasing, the last
+    start is 0 and every length b - a > 0 is kept: built unchecked.  A
+    shape with no empty row and no gap is its own basic form, returned
+    as it is.
+
+    Components.  A row starts one iff a >= below: it then touches the
+    row below only at a corner, or an empty row (c, c] with
+    a >= c >= below lies between them; otherwise they share a column,
+    before and after the shift.  Each component, moved left by the
+    start of its bottom row, the least of its starts, is basic: built
+    unchecked.
     """
-    spans = s.row_spans()
-    outer: list[int] = []
-    inner: list[int] = []
+    groups: list[list[tuple[int, int]]] = []
     shift = below = 0
-    for a, b in reversed(spans):
+    for a, b in reversed(s.row_spans()):
         if a < b:
-            if a > below:
+            if a >= below:
                 shift += a - below
-            outer.append(b - shift)
-            inner.append(a - shift)
+                groups.append([])
+            groups[-1].append((a - shift, b - shift))
             below = b
-    if not shift and len(outer) == len(spans):
-        return s
-    outer.reverse()
-    inner.reverse()
-    return _unchecked_skew(outer, inner)
+    groups.reverse()
+    comps = [
+        _unchecked_skew([b - g[0][0] for a, b in reversed(g)], [a - g[0][0] for a, b in reversed(g)])
+        for g in groups
+    ]
+    rows = [row for g in groups for row in reversed(g)]
+    if not shift and len(rows) == len(s.outer):
+        return s, comps
+    return _unchecked_skew([b for a, b in rows], [a for a, b in rows]), comps
 
 
 def rotate_skew(s: SkewShape) -> SkewShape:
@@ -472,55 +482,22 @@ def rotate_skew(s: SkewShape) -> SkewShape:
     return _unchecked_skew([w - a for a, b in spans], [w - b for a, b in spans])
 
 
-def _components(s: SkewShape) -> list[SkewShape]:
-    """Edge-connected components, top to bottom; corner contact separates.
-
-    Consecutive nonempty rows belong to one component iff their column
-    ranges share a column; touching only at a corner does not connect.
-    So a component's columns are one interval, and shifting its last
-    row's inner part away makes it basic.  The block's starts and ends
-    are weakly decreasing, and its last start is the smallest, so the
-    shifted rows keep 0 <= start < end: built unchecked.
-    """
-    spans = s.row_spans()
-    comps: list[SkewShape] = []
-    start = 0
-    rows = len(spans)
-    while start < rows:
-        if spans[start][0] >= spans[start][1]:
-            start += 1
-            continue
-        end = start
-        while end + 1 < rows:
-            a_next, b_next = spans[end + 1]
-            if a_next >= b_next or spans[end][0] >= b_next:
-                break
-            end += 1
-        block = spans[start:end + 1]
-        shift = block[-1][0]
-        comps.append(_unchecked_skew([b - shift for a, b in block], [a - shift for a, b in block]))
-        start = end + 1
-    return comps
-
-
 @lru_cache(maxsize=256)
 def skew_normalize(s: SkewShape) -> SkewNormalForm:
     """The one normal form of a skew shape; every caller reads it here.
 
-    A basic shape is its own basic form, the same object.  The basic
-    form, its rotation and its components are built from row spans
-    without the checks of ``SkewShape``: each moves or reflects whole
-    rows so that starts and ends stay weakly decreasing, every start
-    stays between 0 and its end, and no cell is added or lost, as the
-    docstrings of ``_strip_to_basic``, ``rotate_skew`` and
-    ``_components`` show row by row.  Bounded: a sweep asks about one
+    One walk over the rows gives the basic form and its components; a
+    basic shape is its own basic form, the same object.  These and the
+    rotation are built from row spans without the checks of
+    ``SkewShape``, as the docstrings of ``_basic_and_components`` and
+    ``rotate_skew`` argue row by row.  Bounded: a sweep asks about one
     shape for every alpha in a row.
     """
-    basic = _strip_to_basic(s)
+    basic, comps = _basic_and_components(s)
     rotated = rotate_skew(basic)
     rotated_equal = rotated.inner == EMPTY
     label = basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
-    return SkewNormalForm(basic, tuple(_components(basic)), rotated_equal, label)
+    return SkewNormalForm(basic, tuple(comps), rotated_equal, label)
 
 
 def is_proper_skew(s: SkewShape) -> bool:
@@ -529,39 +506,34 @@ def is_proper_skew(s: SkewShape) -> bool:
 
 
 def enumerate_basic_skew_shapes(size: int) -> list[SkewShape]:
-    """All basic skew shapes with the given number of cells.
+    """All basic skew shapes with the given number of cells, in
+    descending order of (b_1, a_1, b_2, a_2, ...).
 
-    Rows are described by column spans (a_i, b_i]; the basic conditions
-    are a_i < b_i, a_i <= b_{i+1}, a weakly decreasing, b weakly
-    decreasing and a_last = 0.
+    Rows are column spans (a_i, b_i], top to bottom.  Write r_i = b_i - a_i
+    for the row lengths and d_i = a_i - a_{i+1} for the offsets.  The
+    shape is basic iff no row is empty, r_i >= 1, so the lengths are a
+    composition of size; the last start is 0, so a_i is the sum of the
+    offsets below row i; and no column is empty, a_i <= b_{i+1}, that is
+    d_i <= r_{i+1}.  It is a skew shape iff the starts weakly decrease,
+    d_i >= 0, and so do the ends, d_i >= r_{i+1} - r_i.  So each
+    composition and each choice of d_i in [max(0, r_{i+1} - r_i), r_{i+1}]
+    gives one basic shape, every one once, and its rows satisfy what
+    ``_unchecked_skew`` asks: built unchecked.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
     if size == 0:
         return [SkewShape(EMPTY, EMPTY)]
-    out: list[SkewShape] = []
-
-    def rec(rows: list[tuple[int, int]], remaining: int) -> None:
-        if remaining == 0:
-            if rows[-1][0] == 0:
-                out.append(SkewShape(
-                    Partition([b for a, b in rows]),
-                    Partition([a for a, b in rows]),
-                ))
-            return
-        prev_a, prev_b = rows[-1]
-        for b in range(prev_b, max(prev_a, 1) - 1, -1):
-            for a in range(min(prev_a, b - 1), -1, -1):
-                if b - a <= remaining:
-                    rows.append((a, b))
-                    rec(rows, remaining - (b - a))
-                    rows.pop()
-
-    for b in range(size, 0, -1):
-        for a in range(b - 1, -1, -1):
-            if b - a <= size:
-                rec([(a, b)], size - (b - a))
-    return out
+    spans = []
+    for cuts in product((False, True), repeat=size - 1):
+        bounds = (0, *compress(range(1, size), cuts), size)
+        lengths = [y - x for x, y in zip(bounds, bounds[1:])]
+        ranges = [range(max(0, r2 - r1), r2 + 1) for r1, r2 in zip(lengths, lengths[1:])]
+        for offsets in product(*ranges):
+            starts = list(accumulate(reversed(offsets), initial=0))[::-1]
+            spans.append([(a + r, a) for a, r in zip(starts, lengths)])
+    spans.sort(reverse=True)
+    return [_unchecked_skew([b for b, a in rows], [a for b, a in rows]) for rows in spans]
 
 
 # --- text grammar ---

@@ -26,7 +26,10 @@ from kronmf.partitions import (
     conjugate,
     enumerate_basic_skew_shapes,
     enumerate_partitions,
+    is_fat_hook,
     is_linear,
+    is_near_rectangle,
+    is_rectangle,
     iter_subpartitions,
 )
 
@@ -137,6 +140,29 @@ class TestIsMfPair:
         for p in [q for n in range(1, 15) for q in enumerate_partitions(n)] + long_ones:
             assert _face(p, False) == padded(p), p
             assert _face(p, True) == padded(conjugate(p)), p
+
+    def test_run_ends_by_bisection_equal_the_part_counts(self):
+        # the count-based forms that the bisections replaced, kept as the
+        # reference: each counts a part value through the whole tuple
+        def face(p):
+            return (len(p), len(p) - p.count(1), p.count(3)) if p[0] <= 3 else ()
+
+        def fat_hook(p):
+            return is_rectangle(p) or p.count(p[0]) + p.count(p[-1]) == len(p)
+
+        def near_rectangle(p):
+            if is_rectangle(p) or not fat_hook(p):
+                return False
+            x = p.count(p[0])
+            return 1 in (x, len(p) - x, p[-1], p[0] - p[-1])
+
+        shapes = [q for n in range(1, 19) for q in enumerate_partitions(n)]
+        for k in (1, 2, 3, 10, 10**3, 10**6):
+            shapes += [P(*(1,) * k), P(2, *(1,) * k), P(*(3,) * k, *(1,) * k)]
+        for p in shapes:
+            assert _face(p, True) == face(p), p
+            assert is_fat_hook(p) == fat_hook(p), p
+            assert is_near_rectangle(p) == near_rectangle(p), p
 
     def test_builds_no_conjugate(self, monkeypatch):
         from kronmf import classification, partitions

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -557,6 +558,98 @@ def test_output_fault_in_process_leaves_a_redirected_stdout_alone(monkeypatch):
     res = run_cli("kron", "2,1", "2,1")
     assert res.returncode == 2
     assert res.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def _fuzz_operand(rng, n):
+    """A partition of n in the grammar, or now and then a malformed token."""
+    if rng.random() < 0.05:
+        return rng.choice(
+            ["", "a", "3,,1", "1^", "2^0", "-1", "0", "1,3", "2^x", "3/1", " 2 , 1 ", "３", "2²", "é", "1^1000001", "9" * 40]
+        )
+    parts = rng.choice(enumerate_partitions(n))
+    return ",".join(map(str, parts)) if rng.random() < 0.7 else format(parts)
+
+
+def _fuzz_skew(rng, n):
+    if rng.random() < 0.05:
+        return rng.choice(["/", "2/3", "3,1/1/1", "3,2/", "/1", "2,2/a", "1^3/1^4", "３/1", "1^1000001/1"])
+    outer = rng.choice(enumerate_partitions(n + rng.randrange(3)))
+    inner = rng.choice(enumerate_partitions(outer.n - n))
+    return f"{format(outer)}/{format(inner)}"
+
+
+_FUZZ_FLAGS = {
+    # each list ends in a value that no subcommand takes
+    "--format": ["text", "json", "csv", "xml"],
+    "--engine": ["auto", "oracle", "dvir", "fast"],
+    "--mode": ["pairs", "triples", "skew", "engines", "all"],
+    "--jobs": ["1", "1", "1", "2", "x"],
+}
+_FUZZ_READS = {
+    "kron": ("--format", "--engine"),
+    "coeff": ("--format", "--engine"),
+    "classify": ("--format",),
+    "classify-triple": ("--format",),
+    "classify-skew": ("--format",),
+    "table": ("--format", "--force"),
+    "verify": ("--mode", "--format", "--engine", "--jobs", "--cache", "--force"),
+}
+
+
+def _fuzz_argv(rng, cache_paths):
+    """One command line: a subcommand with mostly well-formed operands of
+    degree <= 8 and flags it reads, and now and then a bad value, a flag
+    it does not read, or a missing or extra argument."""
+    command = rng.choice([*_FUZZ_READS] * 3 + ["bogus"])
+    n = rng.randrange(9)
+    if command in ("table", "verify"):
+        argv = [command, str(n) if rng.random() < 0.9 else rng.choice(["-1", "0", "x"])]
+    elif command == "classify-skew":
+        argv = [command, _fuzz_skew(rng, n), _fuzz_operand(rng, n)]
+    else:
+        arity = 3 if command in ("coeff", "classify-triple") else 2
+        degrees = [n] * arity
+        if rng.random() < 0.1:
+            degrees[rng.randrange(arity)] = max(n - 1, 0)
+        argv = [command] + [_fuzz_operand(rng, d) for d in degrees]
+    flags = [f for f in _FUZZ_READS.get(command, ()) if rng.random() < 0.5]
+    if rng.random() < 0.1:
+        flags.append(rng.choice(["--force", "--cache", *_FUZZ_FLAGS]))
+    for flag in flags:
+        if flag == "--force":
+            argv.append(flag)
+        else:
+            argv += [flag, rng.choice(cache_paths if flag == "--cache" else _FUZZ_FLAGS[flag])]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(["7", "--nope"]))
+    if rng.random() < 0.05:
+        argv = argv[: rng.randrange(len(argv))]
+    return argv
+
+
+def test_fuzzed_command_lines_exit_0_1_or_2_and_a_usage_error_is_one_line(tmp_path):
+    # seeded: a failure names its argv and environment, and reruns as is.
+    # Degrees stay at or below 8, --force or not, so every case is short,
+    # and a cache lies under tmp_path or in a directory that does not exist
+    junk = tmp_path / "junk.jsonl"
+    junk.write_text("not a cache\n")
+    cache_paths = [str(tmp_path / "cache.jsonl"), str(junk), str(tmp_path / "missing" / "cache.jsonl")]
+    ceilings = [None, None, None, "0", "5", "8", "14", "-3", "", "x", "9" * 30]
+    rng = random.Random(26)
+    for _ in range(500):
+        argv = _fuzz_argv(rng, cache_paths)
+        ceiling = rng.choice(ceilings)
+        env = {} if ceiling is None else {"KRONMF_TABLE_CEILING": ceiling}
+        try:
+            res = run_cli(*argv, env_extra=env)
+        except Exception as exc:
+            pytest.fail(f"{argv} with {env} raised {exc!r}")
+        case = f"{argv} with {env}"
+        assert res.returncode in (0, 1, 2), case
+        assert "Traceback" not in res.stdout + res.stderr, case
+        if res.returncode == 2:
+            assert res.stdout == "", case
+            assert res.stderr.count("\n") == 1 and "error:" in res.stderr, case
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -12,7 +12,6 @@ from kronmf.partitions import (
     Partition,
     SkewNormalForm,
     SkewShape,
-    _components,
     add_node,
     addable_nodes,
     classify_shape,
@@ -431,6 +430,42 @@ class TestSkewShapes:
                                 brute.add(s)
             assert brute == set(enumerate_basic_skew_shapes(size))
 
+    def test_equals_the_recursive_reference_in_order_up_to_size_10(self):
+        for size in range(11):
+            shapes = enumerate_basic_skew_shapes(size)
+            assert shapes == _recursive_basic_shapes(size), size
+            assert all(map(_sized, shapes)), size
+
+
+def _recursive_basic_shapes(size):
+    """Basic shapes by recursion over rows, with checked constructors only.
+
+    Rows are column spans (a_i, b_i]; the basic conditions are a_i < b_i,
+    a_i <= b_{i+1}, a and b weakly decreasing and a_last = 0.  The
+    shapes come out in descending order of (b_1, a_1, b_2, a_2, ...).
+    """
+    if size == 0:
+        return [SkewShape(EMPTY, EMPTY)]
+    out = []
+
+    def rec(rows, remaining):
+        if remaining == 0:
+            if rows[-1][0] == 0:
+                out.append(SkewShape(Partition([b for a, b in rows]), Partition([a for a, b in rows])))
+            return
+        prev_a, prev_b = rows[-1]
+        for b in range(prev_b, max(prev_a, 1) - 1, -1):
+            for a in range(min(prev_a, b - 1), -1, -1):
+                if b - a <= remaining:
+                    rows.append((a, b))
+                    rec(rows, remaining - (b - a))
+                    rows.pop()
+
+    for b in range(size, 0, -1):
+        for a in range(b - 1, -1, -1):
+            rec([(a, b)], size - (b - a))
+    return out
+
 
 def _reference_normal_form(s):
     """The normal form from its definitions, with checked constructors only.
@@ -494,8 +529,8 @@ class TestSkewNormalForm:
     """The normal form, built from row spans with unchecked parts, against
     the same form built from its definitions with the checked constructors."""
 
-    def test_equals_the_reference_for_every_outer_up_to_size_8(self):
-        shapes = list(_every_skew_shape(8))
+    def test_equals_the_reference_for_every_outer_up_to_size_9(self):
+        shapes = list(_every_skew_shape(9))
         # not only basic shapes: empty rows and empty columns too
         assert any(len(skew_normalize(s).basic.outer) < len(s.outer) for s in shapes)
         assert any(skew_normalize(s).basic.outer.width < s.outer.width for s in shapes)
@@ -512,12 +547,12 @@ class TestSkewNormalForm:
     def test_size_is_set_by_every_constructor(self):
         shapes = [SkewShape((4, 3, 1), (2, 1)), SkewShape((3,)), parse_skew("4,3,3/3,3,1"), parse_skew("2,1/2,1")]
         for s in list(shapes):
-            shapes += [rotate_skew(s), *_components(s)]
+            shapes += [rotate_skew(s), *skew_normalize(s).components]
         shapes += list(_every_skew_shape(6))
         for s in shapes:
             assert _sized(s), s
             assert _sized(rotate_skew(s)), s
-            assert all(map(_sized, _components(s))), s
+            assert all(map(_sized, skew_normalize(s).components)), s
         assert [s.size for s in shapes[:4]] == [5, 3, 3, 0]
 
 
