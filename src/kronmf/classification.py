@@ -23,6 +23,7 @@ expansion with the closed forms and their sign twists.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -152,10 +153,7 @@ def is_mf_triple(lam: Partition, mu: Partition, nu: Partition) -> MfVerdict:
     if len(nonlinear) == 3:
         return MF_NO
     if len(nonlinear) == 2:
-        sub = is_mf_pair(nonlinear[0], nonlinear[1])
-        if sub:
-            return MfVerdict(True, f"triple-reduced:{sub.clause}", sub.normalization + ("linear-reduction",))
-        return MF_NO
+        return is_mf_pair(*nonlinear).reduced("triple-reduced", ("linear-reduction",))
     if len(nonlinear) == 1:
         return MfVerdict(True, "triple-reduced-irreducible", ("linear-reduction",))
     return MfVerdict(True, "triple-all-linear")
@@ -213,10 +211,7 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     if basic.size == 0:
         return MfVerdict(True, "skew-irr-empty")
     if norm.label is not None:
-        sub = is_mf_pair(norm.label, alpha)
-        if sub:
-            return MfVerdict(True, f"skew-irr-reduced:{sub.clause}", sub.normalization)
-        return MF_NO
+        return is_mf_pair(norm.label, alpha).reduced("skew-irr-reduced")
 
     case_3_alphas, kk, case_2, case_3_target = _skew_clauses(n)
     case_3 = alpha in case_3_alphas
@@ -244,12 +239,13 @@ def product_with_natural(mu: Partition) -> CharacterExpansion:
     n = mu.n
     if n < 3:
         raise ValueError("defined for n >= 3")
-    acc = CharacterExpansion.zero(n)
+    counts = Counter()
     for a_node in removable_nodes(mu):
         mu_a = remove_node(mu, a_node)
         for b_node in addable_nodes(mu_a):
-            acc = acc + CharacterExpansion.irreducible(add_node(mu_a, b_node))
-    return acc - CharacterExpansion.irreducible(mu)
+            counts[add_node(mu_a, b_node)] += 1
+    counts[mu] -= 1  # [mu] arose once per corner, by putting that corner back
+    return CharacterExpansion(n, counts)
 
 
 def staircase_square(k: int) -> CharacterExpansion:
@@ -260,14 +256,6 @@ def staircase_square(k: int) -> CharacterExpansion:
     return CharacterExpansion(n, {p: 1 for p in enumerate_partitions(n, max_length=4)})
 
 
-def _all_even(p: Partition) -> bool:
-    return all(part % 2 == 0 for part in p)
-
-
-def _all_odd(p: Partition) -> bool:
-    return all(part % 2 == 1 for part in p)
-
-
 def kk_square(k: int) -> CharacterExpansion:
     """Square of [k,k]: even-part labels up to length 4, odd at length 4."""
     if k < 1:
@@ -275,7 +263,8 @@ def kk_square(k: int) -> CharacterExpansion:
     n = 2 * k
     terms = {}
     for p in enumerate_partitions(n, max_length=4):
-        if _all_even(p) or (_all_odd(p) and len(p) == 4):
+        parities = {part % 2 for part in p}
+        if parities == {0} or (parities == {1} and len(p) == 4):
             terms[p] = 1
     return CharacterExpansion(n, terms)
 
@@ -437,14 +426,13 @@ def small_depth_products(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    acc = CharacterExpansion.zero(degree)
+    counts = Counter()
     for parts in raw:
         try:
-            p = Partition(parts)
+            counts[Partition(parts)] += 1
         except ValueError:  # the indicator convention: a non-partition label contributes nothing
-            continue
-        acc = acc + CharacterExpansion.irreducible(p)
-    return acc
+            pass
+    return CharacterExpansion(degree, counts)
 
 
 class SquareLowDepth(NamedTuple):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from math import factorial
@@ -39,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """ASCII digits with an optional "-": int() also reads other scripts' digits, "_", "+" and spaces."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _format_flag(sub: argparse.ArgumentParser, *extra: str) -> None:
@@ -86,32 +94,33 @@ def build_parser() -> argparse.ArgumentParser:
     _format_flag(p)
 
     p = sub.add_parser("table", help="exact character table")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     _format_flag(p, "csv")
     p.add_argument("--force", action="store_true", help="bypass the character-table ceiling")
 
     p = sub.add_parser("verify", help="exhaustive verification sweep at one degree")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--mode", choices=tuple(VERIFY_MODES), default="pairs")
     _format_flag(p)
     _engine_flag(p)
-    p.add_argument("--jobs", type=int, default=1, help="only 1: every sweep runs in one process")
+    p.add_argument("--jobs", type=_integer, default=1, help="only 1: every sweep runs in one process")
     p.add_argument("--cache", default=None, metavar="PATH", help="product cache file (pairs mode only)")
     p.add_argument("--force", action="store_true", help="bypass mode ceilings")
 
     return parser
 
 
-def _parse(text: str):
+def _usage(fn, *args):
+    """fn(*args), a ValueError from it reported as a usage error."""
     try:
-        return parse_partition(text)
+        return fn(*args)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
 def _operands(*texts: str) -> list[Partition]:
     """Parse partition operands that must all have one degree."""
-    parts = [_parse(t) for t in texts]
+    parts = [_usage(parse_partition, t) for t in texts]
     if len({p.n for p in parts}) > 1:
         raise CliError("degree mismatch: " + ", ".join(f"|{t}| = {p.n}" for t, p in zip(texts, parts)))
     return parts
@@ -186,37 +195,32 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    lam, mu = _operands(args.lam, args.mu)
-    try:
-        verdict = is_mf_pair(lam, mu)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(_render_verdict(verdict, args.format, {"left": lam, "right": mu}))
+def _print_verdict(predicate, fmt: str, operands: dict[str, Partition | SkewShape]) -> int:
+    """Classify the operands, in order, and print the verdict: exit 0 if
+    multiplicity-free, else 1.  A ValueError is a usage error."""
+    verdict = _usage(predicate, *operands.values())
+    print(_render_verdict(verdict, fmt, operands))
     return 0 if verdict else 1
+
+
+def _cmd_classify(args) -> int:
+    """Pair classification of two partitions of one degree."""
+    lam, mu = _operands(args.lam, args.mu)
+    return _print_verdict(is_mf_pair, args.format, {"left": lam, "right": mu})
 
 
 def _cmd_classify_triple(args) -> int:
+    """Triple classification of three partitions of one degree."""
     lam, mu, nu = _operands(args.lam, args.mu, args.nu)
-    try:
-        verdict = is_mf_triple(lam, mu, nu)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(_render_verdict(verdict, args.format, {"left": lam, "middle": mu, "right": nu}))
-    return 0 if verdict else 1
+    return _print_verdict(is_mf_triple, args.format, {"left": lam, "middle": mu, "right": nu})
 
 
 def _cmd_classify_skew(args) -> int:
-    try:
-        skew = parse_skew(args.skew)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    alpha = _parse(args.alpha)
+    """Classification of a skew character times an irreducible one of its size."""
+    skew, alpha = _usage(parse_skew, args.skew), _usage(parse_partition, args.alpha)
     if skew.size != alpha.n:
         raise CliError(f"size mismatch: |{args.skew}| = {skew.size}, |{args.alpha}| = {alpha.n}")
-    verdict = is_mf_skew_times_irr(skew, alpha)
-    print(_render_verdict(verdict, args.format, {"skew": skew, "alpha": alpha}))
-    return 0 if verdict else 1
+    return _print_verdict(is_mf_skew_times_irr, args.format, {"skew": skew, "alpha": alpha})
 
 
 def _spot_check_orthogonality(table) -> None:

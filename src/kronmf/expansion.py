@@ -78,17 +78,16 @@ class CharacterExpansion:
         return hash((self.degree, frozenset(self._terms.items())))
 
     def __add__(self, other: "CharacterExpansion") -> "CharacterExpansion":
-        self._check_degree(other)
-        out = dict(self._terms)
-        for p, m in other._terms.items():
-            out[p] = out.get(p, 0) + m
-        return CharacterExpansion(self.degree, out)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "CharacterExpansion") -> "CharacterExpansion":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "CharacterExpansion", sign: int) -> "CharacterExpansion":
         self._check_degree(other)
         out = dict(self._terms)
         for p, m in other._terms.items():
-            out[p] = out.get(p, 0) - m
+            out[p] = out.get(p, 0) + sign * m
         return CharacterExpansion(self.degree, out)
 
     def scale(self, c: int) -> "CharacterExpansion":
@@ -133,3 +132,13 @@ class CharacterExpansion:
 
     def __repr__(self) -> str:
         return f"CharacterExpansion({self.degree}, {self._terms!r})"
+
+
+def bilinear(a: CharacterExpansion, b: CharacterExpansion, product, degree: int) -> CharacterExpansion:
+    """Extend product(p, q), of irreducibles p and q, bilinearly to a and b."""
+    terms: dict[Partition, int] = {}
+    for p, m1 in a.items():
+        for q, m2 in b.items():
+            for r, c in product(p, q).items():
+                terms[r] = terms.get(r, 0) + m1 * m2 * c
+    return CharacterExpansion(degree, terms)

@@ -31,7 +31,7 @@ from itertools import product as iproduct
 from typing import Iterable, Iterator, NamedTuple
 
 from .characters import MAX_TABLE_DEGREE, kron_oracle, kron_product_oracle, kron_row_oracle, table_ceiling
-from .expansion import CharacterExpansion
+from .expansion import CharacterExpansion, bilinear
 from .littlewood_richardson import _lr_counts, skew_expand
 from .partitions import (
     EMPTY,
@@ -295,13 +295,14 @@ def kron_coefficient(lam: Partition, mu: Partition, nu: Partition, engine: str =
 
 
 def kron_product(lam: Partition, mu: Partition, engine: str = "auto") -> CharacterExpansion:
-    """Full product expansion through the requested engine."""
+    """Full product expansion through the requested engine; Dvir's memo
+    entry is handed over uncopied, as ``skew_expand`` hands over its tally."""
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     eng = _resolve_engine(engine, lam.n)
     if eng == "oracle":
         return kron_product_oracle(lam, mu)
-    return CharacterExpansion(lam.n, dict(_dvir_product(lam, mu)), _trusted=True)
+    return CharacterExpansion(lam.n, _dvir_product(lam, mu), _trusted=True)
 
 
 def kron_row(
@@ -329,13 +330,7 @@ def multiply_expansions(
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     engine = _resolve_engine(engine, a.degree)
-    acc: dict[Partition, int] = {}
-    for sig, c1 in a.items():
-        for tau, c2 in b.items():
-            weight = c1 * c2
-            for nu, g in kron_product(sig, tau, engine).items():
-                acc[nu] = acc.get(nu, 0) + weight * g
-    return CharacterExpansion(a.degree, acc)
+    return bilinear(a, b, lambda sig, tau: kron_product(sig, tau, engine), a.degree)
 
 
 # --- semigroup lower bounds ---
@@ -440,6 +435,4 @@ def virtual_extension_chi(lam: Partition, mu: Partition, engine: str = "auto") -
         left = skew_expand(SkewShape(lam, beta_a))
         right = skew_expand(SkewShape(mu, beta_a))
         chi = chi + multiply_expansions(left, right, engine)
-    for node in addable_nodes(alpha):
-        chi = chi - CharacterExpansion.irreducible(add_node(alpha, node))
-    return chi
+    return chi - CharacterExpansion(deg, {add_node(alpha, node): 1 for node in addable_nodes(alpha)})

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .expansion import CharacterExpansion
+from .expansion import CharacterExpansion, bilinear
 from .partitions import (
     EMPTY,
     Partition,
@@ -129,12 +129,7 @@ def outer_product_irr(a: Partition, b: Partition) -> CharacterExpansion:
 
 def outer_product(a: CharacterExpansion, b: CharacterExpansion) -> CharacterExpansion:
     """Bilinear extension of the outer product to expansions."""
-    terms: dict[Partition, int] = {}
-    for lam, m1 in a.items():
-        for mu, m2 in b.items():
-            for nu, c in outer_product_irr(lam, mu).items():
-                terms[nu] = terms.get(nu, 0) + m1 * m2 * c
-    return CharacterExpansion(a.degree + b.degree, terms)
+    return bilinear(a, b, outer_product_irr, a.degree + b.degree)
 
 
 def is_mf_outer(a: Partition, b: Partition) -> MfVerdict:
@@ -186,20 +181,21 @@ def _rim_paths(s: SkewShape) -> tuple[list[int], list[int]]:
     return _rim(inner, s.outer.width), _rim(s.outer[::-1], s.outer.width)
 
 
+def _profile(s: SkewShape) -> PathProfile:
+    """Rim-path profile of s, read without checking that s is basic."""
+    inner_segs, outer_segs = _rim_paths(s)
+    inner_is_rectangle = s.inner != EMPTY and is_rectangle(s.inner)
+    return PathProfile(min(inner_segs), min(outer_segs), inner_is_rectangle, len(removable_nodes(s.outer)))
+
+
 def path_profile(s: SkewShape) -> PathProfile:
-    """Rim-path profile of a nonempty basic skew shape."""
+    """Rim-path profile of a nonempty basic skew shape, else ValueError."""
     norm = skew_normalize(s)
     if s.size == 0:
         raise ValueError("empty shape has no rim paths")
     if norm.basic != s:
         raise ValueError(f"{s!r} is not basic; normalize first")
-    inner_segs, outer_segs = _rim_paths(s)
-    return PathProfile(
-        s_in=min(inner_segs),
-        s_out=min(outer_segs),
-        inner_is_rectangle=s.inner != EMPTY and is_rectangle(s.inner),
-        outer_removable_count=len(removable_nodes(s.outer)),
-    )
+    return _profile(s)
 
 
 def is_mf_skew(s: SkewShape) -> MfVerdict:
@@ -218,10 +214,7 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
         parts = [skew_normalize(c).label for c in comps]
         if any(p is None for p in parts):
             return MF_NO
-        sub = is_mf_outer(parts[0], parts[1])
-        if sub:
-            return MfVerdict(True, f"skew-two-components:{sub.clause}", sub.normalization)
-        return MF_NO
+        return is_mf_outer(*parts).reduced("skew-two-components")
 
     # the rotation of a basic shape is basic, so both rims are read
     # directly, without ``path_profile``'s check
@@ -229,8 +222,7 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
         if shape.inner == EMPTY or not is_rectangle(shape.inner):
             continue
         norm_tag = ("rotated",) if rotated else ()
-        inner_segs, outer_segs = _rim_paths(shape)
-        s_in, s_out, r = min(inner_segs), min(outer_segs), len(removable_nodes(shape.outer))
+        s_in, s_out, _, r = _profile(shape)
         if s_in == 1:
             return MfVerdict(True, "skew-sin-1", norm_tag)
         if s_in == 2 and r == 3:

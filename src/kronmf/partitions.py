@@ -205,21 +205,21 @@ def hook_counts(p: Partition) -> dict[str, int]:
     """Counts of small hooks: nodes of hook length 1, 2 and 3.
 
     ``h21`` counts the non-linear 3-hooks, i.e. hooks of size three
-    with arm and leg both of length one.
+    with arm and leg both of length one.  As in ``dimension``, the
+    0-based cell (i, j) has hook p_i + p'_j - i - j - 1 and arm p_i - j - 1.
+    A hook of at most 3 has an arm of at most 2, so only the last three
+    cells of each row are read: rows plus columns, not cells times rows.
     """
-    h1 = h2 = h3 = h21 = 0
-    for i in range(1, len(p) + 1):
-        for j in range(1, p[i - 1] + 1):
-            h = hook_length(p, i, j)
-            if h == 1:
-                h1 += 1
-            elif h == 2:
-                h2 += 1
-            elif h == 3:
-                h3 += 1
-                if p[i - 1] - j == 1:
-                    h21 += 1
-    return {"h1": h1, "h2": h2, "h3": h3, "h21": h21}
+    cols = conjugate(p)
+    counts = [0, 0, 0, 0]
+    h21 = 0
+    for i, part in enumerate(p):
+        for j in range(max(part - 3, 0), part):
+            h = part + cols[j] - i - j - 1
+            if h <= 3:
+                counts[h] += 1
+                h21 += h == 3 and part - j == 2
+    return {"h1": counts[1], "h2": counts[2], "h3": counts[3], "h21": h21}
 
 
 def dimension(p: Partition) -> int:
@@ -538,7 +538,8 @@ def enumerate_basic_skew_shapes(size: int) -> list[SkewShape]:
 
 # --- text grammar ---
 
-_TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# ASCII digits: \d would also match the digits of other scripts
+_TERM_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
 
 MAX_PARSED_SIZE = 10**6
 

@@ -30,5 +30,11 @@ class MfVerdict(_Verdict):
     def __bool__(self) -> bool:
         return self.multiplicity_free
 
+    def reduced(self, tag: str, extra: tuple[str, ...] = ()) -> "MfVerdict":
+        """This verdict under the reduction tag, its normalization extended by extra."""
+        if not self:
+            return self
+        return MfVerdict(True, f"{tag}:{self.clause}", self.normalization + extra)
+
 
 MF_NO = MfVerdict(False)

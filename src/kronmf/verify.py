@@ -261,8 +261,8 @@ def _engine_row(lam: Partition, mu: Partition, right: CharacterExpansion) -> tup
     left = kron_product(lam, mu, "dvir")
     if left == right:
         return None
-    diff = {p for p in set(left.support()) | set(right.support()) if left[p] != right[p]}
-    labels = ";".join(map(str, sorted(diff, reverse=True)))
+    # subtraction drops the equal labels, and support() sorts the rest
+    labels = ";".join(map(str, (left - right).support()))
     return (str(lam), str(mu), "dvir!=oracle", labels)
 
 

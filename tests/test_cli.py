@@ -463,6 +463,30 @@ def test_usage_error_is_one_line_exit_2(argv):
     assert res.stderr.count("\n") == 1 and "error: " in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kron", "\uff13", "\uff13"),  # fullwidth 3
+        ("kron", "\u0662,\u0661", "\u0663"),  # Arabic-Indic 2,1 and 3
+        ("classify-skew", "\uff13/1", "2"),
+        ("kron", "2^\uff13", "3,3"),
+        ("table", "\uff13"),
+        ("verify", "\u0663", "--mode", "skew"),
+        ("table", "1_0"),
+        ("table", "+3"),
+        ("table", " 3"),
+        ("verify", "3", "--jobs", "\uff11"),
+    ],
+)
+def test_digits_outside_ascii_are_usage_errors(argv):
+    # the grammar and the degrees are ASCII: int() and \d would also read
+    # the digits of other scripts, and int() reads "_" as a separator
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "error: " in res.stderr
+
+
 def test_usage_error_in_a_fresh_interpreter():
     res = run_module("verify", "4", "--format", "csv")
     assert res.returncode == 2

@@ -21,9 +21,11 @@ from kronmf.partitions import (
     enumerate_partitions,
     intersect,
     iter_subpartitions,
+    parse_skew,
     rotate_skew,
     skew_normalize,
 )
+from kronmf.verdict import MfVerdict
 
 
 def P(*parts):
@@ -197,6 +199,20 @@ class TestIsMfOuter:
                         expected = outer_product_irr(a, b).is_multiplicity_free()
                         assert bool(is_mf_outer(a, b)) == expected, (a, b)
 
+    def test_two_line_rectangles_against_expansion(self):
+        # the two-line-rectangle-times-fat-hook clause first fires at 14
+        # cells, on [1,1].[4,4,2,2], past the exhaustive sweep above
+        rights = [P(4, 4, 2, 2), P(3, 3, 1, 1), P(4, 4, 1), P(3, 1, 1), P(5, 3, 1), P(4, 2, 1), P(3, 3, 2)]
+        for k in (1, 2, 3):
+            for left in (P(k, k), P(*[2] * k)):
+                for right in rights:
+                    expected = outer_product_irr(left, right).is_multiplicity_free()
+                    assert bool(is_mf_outer(left, right)) == expected, (left, right)
+                    assert bool(is_mf_outer(right, left)) == expected, (right, left)
+        assert is_mf_outer(P(2, 2), P(4, 4, 2, 2)).clause == "outer-2line-rect-fat-hook"
+        assert is_mf_outer(P(4, 4, 2, 2), P(3, 3)).normalization == ("swapped",)
+        assert not is_mf_outer(P(2, 2), P(5, 3, 1))
+
 
 class TestPathProfile:
     def test_two_row_example(self):
@@ -283,6 +299,31 @@ class TestIsMfSkew:
         for size in range(1, 9):
             for s in enumerate_basic_skew_shapes(size):
                 assert bool(is_mf_skew(s)) == skew_expand(s).is_multiplicity_free(), s
+
+    def test_exhaustive_against_expansion_size_9(self):
+        # size 9 is where the clause skew-rem-2 first decides a shape
+        for s in enumerate_basic_skew_shapes(9):
+            assert bool(is_mf_skew(s)) == skew_expand(s).is_multiplicity_free(), s
+
+    @pytest.mark.parametrize(
+        "text, clause, normalization",
+        [
+            ("2/2", "skew-empty", ()),
+            ("1", "skew-irreducible", ()),
+            ("2,1/1", "skew-two-components:outer-rect-rect", ()),
+            ("3,2/1", "skew-sin-1", ()),
+            ("4,4,2,2/3,1,1", "skew-sin-2-rem-3", ("rotated",)),
+            # the first sizes at which the last two clauses fire: 9 and 11
+            ("4^3,1/2,2", "skew-rem-2", ()),
+            ("4,3^3/2,2", "skew-rem-2", ()),
+            ("6,4^3,1,1/3^3", "skew-sout-1-rem-3", ()),
+            ("6^3,3^3/5,5,2^3", "skew-sout-1-rem-3", ("rotated",)),
+        ],
+    )
+    def test_clause_of_each_case(self, text, clause, normalization):
+        s = parse_skew(text)
+        assert skew_expand(s).is_multiplicity_free()
+        assert is_mf_skew(s) == MfVerdict(True, clause, normalization)
 
 
 class TestSkewCharacterLemmas:
