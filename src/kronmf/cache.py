@@ -137,8 +137,8 @@ class ProductCache:
     def get(self, n: int, lam: Partition, mu: Partition) -> dict[Partition, int] | None:
         return self._records.get(_key(n, lam, mu))
 
-    def put(self, n: int, lam: Partition, mu: Partition, terms: dict[Partition, int]) -> None:
-        """Append the record of a key not loaded or put before; terms sorted descending."""
+    def put(self, n: int, lam: Partition, mu: Partition, terms) -> None:
+        """Append the record of a key not loaded or put before; terms (a dict or an expansion) sorted descending."""
         key = _key(n, lam, mu)
         if key in self._records or key in self._written:
             return

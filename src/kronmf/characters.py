@@ -53,7 +53,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .expansion import CharacterExpansion
-from .partitions import Partition, dimension, enumerate_partitions, format_partition
+from .partitions import Partition, csv_field, dimension, enumerate_partitions, format_partition, parse_integer
 
 DEFAULT_TABLE_CEILING = 14
 _CEILING_ENV = "KRONMF_TABLE_CEILING"
@@ -73,7 +73,7 @@ def table_ceiling() -> int:
     if not raw:
         return DEFAULT_TABLE_CEILING
     try:
-        return int(raw)
+        return parse_integer(raw)
     except ValueError:
         raise TableCeilingError(f"{_CEILING_ENV}={raw!r} is not an integer") from None
 
@@ -214,15 +214,10 @@ class CharacterTable:
                     raise AssertionError(f"column orthogonality fails at {self.cols[a]}, {self.cols[b]}")
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["partition"] + [format_partition(c) for c in self.cols])
+        lines = [",".join(["partition", *(csv_field(format_partition(c)) for c in self.cols)])]
         for lam, row in zip(self.rows, self.values):
-            writer.writerow([format_partition(lam)] + list(row))
-        return buf.getvalue()
+            lines.append(",".join([csv_field(format_partition(lam)), *map(str, row)]))
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps(

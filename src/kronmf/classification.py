@@ -10,8 +10,8 @@ partitions, Littlewood-Richardson expansions and ``CharacterExpansion``,
 so both engines can be checked against it.  Clause matching always
 normalizes by conjugation and reports the first clause that fires, in
 classification order, so verdict provenance is reproducible.  The pair
-predicate builds no conjugate: it reads each operand's face, the
-operand or its conjugate padded to three rows, from part counts.
+predicate builds no conjugate: it reads each operand's face
+(``partitions._face``), the operand or its conjugate padded to three rows.
 
 Each predicate states every clause once and derives each fact about an
 operand once per call: the pair and skew predicates build their clause
@@ -32,7 +32,7 @@ from .littlewood_richardson import skew_expand
 from .partitions import (
     Partition,
     SkewShape,
-    _parts_at_least,
+    _face,
     add_node,
     addable_nodes,
     conjugate,
@@ -61,17 +61,6 @@ _EXCEPTIONAL_PAIRS = (
     ((3, 3, 3), (5, 4, 0)),
     ((4, 4, 4), (6, 6, 0)),
 )
-
-
-def _face(p: Partition, conjugated: bool) -> tuple[int, ...]:
-    """p, or p' if conjugated, padded with zeros to three rows; () if longer.
-
-    p' has at most three rows iff p_1 <= 3; then column j counts the
-    parts >= j, each read by one bisection.
-    """
-    if conjugated:
-        return (len(p), _parts_at_least(p, 2), _parts_at_least(p, 3)) if p[0] <= 3 else ()
-    return (*p, 0, 0)[:3] if len(p) <= 3 else ()
 
 
 @cache

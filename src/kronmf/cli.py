@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from math import factorial
@@ -26,7 +25,7 @@ from .characters import TableCeilingError, character_table
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
 from .expansion import CharacterExpansion
 from .kronecker import ENGINES, kron_coefficient, kron_product
-from .partitions import Partition, SkewShape, format_partition, parse_partition, parse_skew
+from .partitions import Partition, SkewShape, csv_field, format_partition, parse_integer, parse_partition, parse_skew
 from .verdict import MfVerdict
 from .verify import DEFAULT_CEILINGS, VERIFY_MODES
 
@@ -43,10 +42,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """ASCII digits with an optional "-": int() also reads other scripts' digits, "_", "+" and spaces."""
-    if not re.fullmatch("-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """A degree argument, read by ``parse_integer`` under argparse's message."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _format_flag(sub: argparse.ArgumentParser, *extra: str) -> None:
@@ -111,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _usage(fn, *args):
-    """fn(*args), a ValueError from it reported as a usage error."""
+    """fn(*args), a ValueError or OSError (a bad operand, an unopenable cache) reported as a usage error."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 
 
@@ -141,12 +141,9 @@ def _render_expansion(exp: CharacterExpansion, fmt: str, left: Partition, right:
             },
             separators=(",", ":"),
         )
-    # a label with a comma is one quoted field, as csv.writer writes it;
-    # quoted here so that the csv module stays off the start-up path
     lines = ["partition,multiplicity"]
     for p in exp.support():
-        label = format_partition(p)
-        lines.append(f'"{label}",{exp[p]}' if "," in label else f"{label},{exp[p]}")
+        lines.append(f"{csv_field(format_partition(p))},{exp[p]}")
     return "\n".join(lines)
 
 
@@ -234,9 +231,7 @@ def _spot_check_orthogonality(table) -> None:
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0:
-        raise CliError("n must be nonnegative")
-    table = character_table(args.n, ceiling=None if not args.force else args.n)
+    table = _usage(character_table, args.n, args.n if args.force else None)
     _spot_check_orthogonality(table)
     if args.format == "json":
         print(table.to_json())
@@ -274,10 +269,7 @@ def _cmd_verify(args) -> int:
     start = time.monotonic()
     kwargs = {} if args.mode == "engines" else {"engine": args.engine}
     if args.mode == "pairs":
-        try:
-            kwargs["cache"] = ProductCache(args.cache) if args.cache else None
-        except (ValueError, OSError) as exc:
-            raise CliError(str(exc)) from None
+        kwargs["cache"] = _usage(ProductCache, args.cache) if args.cache else None
     report = VERIFY_MODES[args.mode](args.n, **kwargs)
     wall_time = time.monotonic() - start
     print(report.to_json() if args.format == "json" else report.to_text())

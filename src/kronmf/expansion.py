@@ -98,7 +98,7 @@ class CharacterExpansion:
         return CharacterExpansion(self.degree, {p.conjugate(): m for p, m in self._terms.items()})
 
     def max_multiplicity(self) -> int:
-        return max(self._terms.values(), default=0)
+        return max(self._terms.values()) if self._terms else 0
 
     def is_multiplicity_free(self) -> bool:
         return all(m == 1 for m in self._terms.values())

@@ -37,6 +37,7 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    _face,
     _unchecked,
     add_node,
     addable_nodes,
@@ -412,12 +413,9 @@ def virtual_extension_chi(lam: Partition, mu: Partition, engine: str = "auto") -
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
     n = lam.n
-    banned = {Partition((n,)), Partition((n,)).conjugate()}
-    if n >= 2:
-        nat = Partition((n - 1, 1))
-        banned |= {nat, nat.conjugate()}
+    banned = {(n, 0, 0), (n - 1, 1, 0)}
     for p in (lam, mu):
-        if p in banned:
+        if _face(p, False) in banned or _face(p, True) in banned:
             raise ValueError(f"operand {p!r} is (n) or (n-1,1) up to conjugation")
     beta = intersect(lam, mu)
     cells_rows = {i for i in range(1, len(lam) + 1) if lam[i - 1] > beta.row(i)}

@@ -6,6 +6,8 @@ immutable and hashable, so they can be used as memo keys and shared
 freely between threads.  Skew shapes are read as row spans: one walk
 over the rows gives a shape's basic form and its components, and the
 basic shapes of a size are listed from their row lengths and offsets.
+It also owns the text grammar (integers, partitions, CSV fields) and,
+in ``_face``, the test of a small shape up to conjugation.
 """
 
 from __future__ import annotations
@@ -288,6 +290,19 @@ def _parts_at_least(p: Partition, m: int) -> int:
     return bisect_right(p, -m, key=operator.neg)
 
 
+def _face(p: Partition, conjugated: bool) -> tuple[int, ...]:
+    """p, or p' if conjugated, padded with zeros to three rows; () if longer.
+
+    p' has at most three rows iff p is empty or p_1 <= 3; then column j
+    counts the parts >= j, each read by one bisection.  Every test of p
+    against a partition of at most three rows, up to conjugation, reads
+    the two faces, and none builds a conjugate.
+    """
+    if conjugated:
+        return (len(p), _parts_at_least(p, 2), _parts_at_least(p, 3)) if not p or p[0] <= 3 else ()
+    return (*p, 0, 0, 0)[:3] if len(p) <= 3 else ()
+
+
 def is_fat_hook(p: Partition) -> bool:
     """At most two part values: the run of p_1 ends where that of p_l starts."""
     return is_rectangle(p) or _parts_at_least(p, p[0]) == _parts_at_least(p, p[-1] + 1)
@@ -329,7 +344,7 @@ def classify_shape(p: Partition) -> ShapeClass:
         tag = "empty"
     elif is_linear(p):
         tag = "linear"
-    elif p.n >= 3 and (p == Partition((p.n - 1, 1)) or conjugate(p) == Partition((p.n - 1, 1))):
+    elif p.n >= 3 and (p.n - 1, 1, 0) in (_face(p, False), _face(p, True)):
         tag = "natural-label"
     elif is_two_line(p):
         tag = "two-line"
@@ -544,6 +559,15 @@ _TERM_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
 MAX_PARSED_SIZE = 10**6
 
 
+def parse_integer(text: str) -> int:
+    """ASCII digits with an optional "-", else ValueError: an integer from
+    outside the program.  int() alone also reads other scripts' digits,
+    "_" separators, a "+" and surrounding spaces."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the ``a`` / ``a^b`` comma grammar, e.g. ``5,4,2^3,1``.
 
@@ -595,6 +619,13 @@ def parse_skew(text: str) -> SkewShape:
 
 def format_skew(s: SkewShape) -> str:
     return f"{format_partition(s.outer)}/{format_partition(s.inner)}"
+
+
+def csv_field(label: str) -> str:
+    """A label as one CSV field, quoted iff it holds a comma: what
+    ``csv.writer`` writes for digits, commas and carets in a row of two
+    or more fields."""
+    return f'"{label}"' if "," in label else label
 
 
 def iter_subpartitions(p: Partition, size: int) -> Iterator[Partition]:

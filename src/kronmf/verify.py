@@ -14,21 +14,20 @@ character is its list of values on the classes (a table row, or one sum
 of rows per skew shape), a product is pointwise, and
 ``characters.is_mf_class_function`` decides multiplicity-freeness from
 two class sums.  The pair and engine sweeps, and every sweep under Dvir,
-compute full products.  Both walk the pairs lambda-major and take a
+compute full products.  Both read one walk, ``_products``, which takes a
 row's products from one lazy generator, ``kron_row``: under the oracle
 it forms lambda's class-weighted packed columns once, and decodes each
 [lambda].[mu] of the row with one exact division of the packed sum by
 n! (``characters.kron_row_oracle``).  Every sweep runs in one process
 and streams: the pair sweep takes each product from the optional cache,
 or computes it once and writes it there, and keeps none past its row,
-with a cache or without one.  It reads a row's records first and hands
-the row only its misses, so a row the cache holds in full computes
-nothing, not even a table.
+with a cache or without one.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import starmap
 from operator import add, mul
 
 from .cache import ProductCache
@@ -129,7 +128,10 @@ def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str
     return (str(left), " | ".join(map(str, right))) + verdicts
 
 
-def _pair_rows(n: int, engine: str, cache: ProductCache | None):
+def _products(n: int, engine: str, cache: ProductCache | None = None):
+    """(lam, mu, [lam].[mu]) for each pair lam >= mu of degree n, lambda-major:
+    from the cache, or else from ``kron_row`` and then put there.  ``kron_row``
+    is handed only a row's misses, so a row the cache holds in full builds nothing."""
     # resolved once: "auto" reads the table ceiling from the environment
     engine = _resolve_engine(engine, n)
     parts = enumerate_partitions(n)
@@ -137,26 +139,26 @@ def _pair_rows(n: int, engine: str, cache: ProductCache | None):
         for i, lam in enumerate(parts):
             row = parts[i:]
             known = [None] * len(row) if cache is None else [cache.get(n, lam, mu) for mu in row]
-            # the row's cache misses only, read as the row reaches each one,
-            # so a row the cache holds in full builds nothing
             computed = kron_row(lam, (mu for mu, terms in zip(row, known) if terms is None), engine)
             for mu, terms in zip(row, known):
                 if terms is None:
-                    terms = next(computed).terms()
+                    product = next(computed)
                     if cache is not None:
-                        cache.put(n, lam, mu, terms)
-                yield _mf_row(is_mf_pair(lam, mu), max(terms.values()) == 1, lam, mu)
+                        cache.put(n, lam, mu, product)
+                else:
+                    product = CharacterExpansion(n, terms, _trusted=True)
+                yield lam, mu, product
     finally:
         # also on an interrupted sweep, which keeps every record it put
         if cache is not None:
             cache.flush()
 
 
-def verify_pairs(
-    n: int, engine: str = "auto", cache: ProductCache | None = None
-) -> VerificationReport:
+def verify_pairs(n: int, engine: str = "auto", cache: ProductCache | None = None) -> VerificationReport:
     """Pair classification: is_mf_pair iff the computed product has max mult 1."""
-    return _report(n, "pairs", engine, _pair_rows(n, engine, cache))
+    products = _products(n, engine, cache)
+    rows = (_mf_row(is_mf_pair(lam, mu), chi.max_multiplicity() == 1, lam, mu) for lam, mu, chi in products)
+    return _report(n, "pairs", engine, rows)
 
 
 def _character_ring(n: int, engine: str):
@@ -266,17 +268,9 @@ def _engine_row(lam: Partition, mu: Partition, right: CharacterExpansion) -> tup
     return (str(lam), str(mu), "dvir!=oracle", labels)
 
 
-def _engine_rows(n: int):
-    parts = enumerate_partitions(n)
-    for i, lam in enumerate(parts):
-        row = parts[i:]
-        for mu, right in zip(row, kron_row(lam, row, "oracle")):
-            yield _engine_row(lam, mu, right)
-
-
 def verify_engines(n: int) -> VerificationReport:
     """Dvir recursion against the character-table oracle, all pairs."""
-    return _report(n, "engines", "dvir-vs-oracle", _engine_rows(n))
+    return _report(n, "engines", "dvir-vs-oracle", starmap(_engine_row, _products(n, "oracle")))
 
 
 VERIFY_MODES = {

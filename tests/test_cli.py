@@ -300,7 +300,8 @@ class TestVerify:
     def test_cache_warm_equals_cold(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cold = run_cli("verify", "5", "--mode", "pairs", "--cache", path)
-        head = open(path, encoding="utf-8").readline()
+        with open(path, encoding="utf-8") as fh:
+            head = fh.readline()
         assert json.loads(head)["format"] == "kronmf-cache"
         warm = run_cli("verify", "5", "--mode", "pairs", "--cache", path)
         assert cold.stdout == warm.stdout

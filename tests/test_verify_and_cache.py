@@ -85,7 +85,8 @@ class TestProductCache:
         cache = ProductCache(path)
         cache.put(2, P(2), P(2), {P(2): 1})
         cache.flush()
-        head = json.loads(open(path, encoding="utf-8").readline())
+        with open(path, encoding="utf-8") as fh:
+            head = json.loads(fh.readline())
         assert head == {"format": "kronmf-cache", "version": 1}
 
     def test_rejects_foreign_file(self, tmp_path):
