@@ -13,21 +13,23 @@ multiplicity is a positive int (not a float, bool or string), and
 sum(m * dim nu) equals dim lambda * dim mu.
 
 Records stream: ``put`` writes each new record to an append handle at
-once and keeps only its key, and ``flush`` closes the handle, so a
-sweep that stops early keeps every record it finished.  ``get`` answers
-from the records loaded at open, never from ones put since; the pair
-sweep puts a key only after ``get`` missed it.
+once, and ``flush`` closes the handle, so a sweep that stops early keeps
+every record it finished.  One key store, ``_records``, maps each key
+loaded at open to its terms and each key put since to None.  So ``get``
+answers from the records loaded at open, never from ones put since (None
+is a miss), and ``put`` writes each key once; the pair sweep puts a key
+only after ``get`` missed it.
 
 A file of N records holds only p(n) distinct partition strings per
 degree, so ``_load`` parses each distinct string once per call, through
 a memo local to that call, and a cache renders each distinct partition
-once.  Its term memo holds one text per (label, multiplicity), at most
-p(n) * max g entries for a degree whose largest coefficient is max g.
-This is sound because ``parse_partition`` and ``format_partition`` are
-pure functions and a ``Partition`` is an immutable tuple: sharing one
-object between records changes no value, hash or equality.  A string
-that fails to parse raises each time it is met, since the memo only
-ever holds successful results.
+once.  Its one term memo, a ``functools.cache`` over (partition,
+multiplicity), holds at most p(n) * max g texts for a degree whose
+largest coefficient is max g.  This is sound because ``parse_partition``
+and ``format_partition`` are pure functions and a ``Partition`` is an
+immutable tuple: sharing one object between records changes no value,
+hash or equality.  A string that fails to parse raises each time it is
+met, since the memo only ever holds successful results.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 from functools import cache
+from itertools import starmap
 
 from .partitions import Partition, canonical_pair, dimension, format_partition, parse_partition
 
@@ -46,32 +49,17 @@ def _key(n: int, lam: Partition, mu: Partition) -> tuple[int, Partition, Partiti
     return (n, *canonical_pair(lam, mu))
 
 
-class _TermText(dict):
-    """(partition, multiplicity) -> the text ``["<label>",m]`` of one term.
-
-    A label holds only digits, commas and carets, so the text is exactly
-    ``json.dumps([label, m], separators=(",", ":"))``.
-    """
-
-    def __init__(self, label) -> None:
-        super().__init__()
-        self.label = label
-
-    def __missing__(self, term: tuple[Partition, int]) -> str:
-        p, m = term
-        text = self[term] = f'["{self.label(p)}",{m}]'
-        return text
-
-
 class ProductCache:
     def __init__(self, path: str):
         self.path = path
-        self._records: dict[tuple[int, Partition, Partition], dict[Partition, int]] = {}
-        self._written: set[tuple[int, Partition, Partition]] = set()
+        self._records: dict[tuple[int, Partition, Partition], dict[Partition, int] | None] = {}
         self._out = None
         self._torn_at: int | None = None
-        self._label = cache(format_partition)
-        self._terms = _TermText(self._label)
+        label = self._label = cache(format_partition)
+        # (partition, multiplicity) -> the text ["<label>",m] of one term.  A
+        # label holds only digits, commas and carets, so the text is exactly
+        # json.dumps([label, m], separators=(",", ":"))
+        self._term = cache(lambda p, m: f'["{label(p)}",{m}]')
         # an unwritable path fails here, before a sweep computes anything
         # that put could not write; it leaves an empty file, an empty cache
         with open(path, "a", encoding="utf-8"):
@@ -140,12 +128,12 @@ class ProductCache:
     def put(self, n: int, lam: Partition, mu: Partition, terms) -> None:
         """Append the record of a key not loaded or put before; terms (a dict or an expansion) sorted descending."""
         key = _key(n, lam, mu)
-        if key in self._records or key in self._written:
+        if key in self._records:
             return
-        self._written.add(key)
+        self._records[key] = None
         out = self._out or self._open()
         _, a, b = key
-        body = ",".join(map(self._terms.__getitem__, sorted(terms.items(), reverse=True)))
+        body = ",".join(starmap(self._term, sorted(terms.items(), reverse=True)))
         out.write('{"n":%d,"lambda":"%s","mu":"%s","terms":[%s]}\n' % (n, self._label(a), self._label(b), body))
 
     def _open(self):
@@ -166,4 +154,4 @@ class ProductCache:
             self._out = None
 
     def __len__(self) -> int:
-        return len(self._records) + len(self._written)
+        return len(self._records)

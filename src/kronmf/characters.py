@@ -53,7 +53,15 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .expansion import CharacterExpansion
-from .partitions import Partition, csv_field, dimension, enumerate_partitions, format_partition, parse_integer
+from .partitions import (
+    Partition,
+    csv_field,
+    dimension,
+    enumerate_partitions,
+    format_partition,
+    parse_integer,
+    same_degree,
+)
 
 DEFAULT_TABLE_CEILING = 14
 _CEILING_ENV = "KRONMF_TABLE_CEILING"
@@ -134,9 +142,7 @@ def _add_strips(vec: dict[int, int], k: int) -> dict[int, int]:
 
 def character_value(lam: Partition, rho: Partition) -> int:
     """Character of the irreducible [lam] on the class of cycle type rho."""
-    if lam.n != rho.n:
-        raise ValueError(f"degree mismatch: |{lam!r}| = {lam.n}, |{rho!r}| = {rho.n}")
-    n = lam.n
+    n = same_degree(lam.n, rho.n)
     vec = {(1 << n) - 1: 1}
     for k in rho:
         vec = _add_strips(vec, k)
@@ -212,6 +218,17 @@ class CharacterTable:
                 expected = nfact // self.class_sizes[a] if a == b else 0
                 if dot != expected:
                     raise AssertionError(f"column orthogonality fails at {self.cols[a]}, {self.cols[b]}")
+
+    def to_text(self) -> str:
+        """One grid, right-aligned: the cycle types, the class sizes, then
+        one row per partition, each column as wide as its widest cell."""
+        grid = [
+            ["", *map(format_partition, self.cols)],
+            ["class size", *map(str, self.class_sizes)],
+            *([format_partition(lam), *map(str, row)] for lam, row in zip(self.rows, self.values)),
+        ]
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        return "".join(" ".join(map(str.rjust, line, widths)) + "\n" for line in grid)
 
     def to_csv(self) -> str:
         lines = [",".join(["partition", *(csv_field(format_partition(c)) for c in self.cols)])]
@@ -380,14 +397,13 @@ def _table(n: int) -> CharacterTable:
 
 def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient from the class-sum scalar product."""
-    if not (lam.n == mu.n == nu.n):
-        raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
-    t = character_table(lam.n)
+    n = same_degree(lam.n, mu.n, nu.n)
+    t = character_table(n)
     total = sum(
         cs * x * y * z
         for cs, x, y, z in zip(t.class_sizes, t.row(lam), t.row(mu), t.row(nu))
     )
-    g, rem = divmod(total, factorial(lam.n))
+    g, rem = divmod(total, factorial(n))
     assert rem == 0, f"scalar product not divisible by n! for {lam}, {mu}, {nu}"
     assert g >= 0
     return g
@@ -494,8 +510,7 @@ def kron_row_oracle(lam: Partition, mus: Iterable[Partition]) -> Iterator[Charac
     dim_lam = dims[i]
     weighted = list(map(mul, map(mul, t.class_sizes, t.values[i]), columns))
     for mu in mus:
-        if mu.n != n:
-            raise ValueError(f"degree mismatch: {n} vs {mu.n}")
+        same_degree(n, mu.n)
         j = t._index[mu]
         q, r = divmod(sum(map(mul, t.values[j], weighted)), nfact)
         words = array("Q", q.to_bytes(size, "little"))
@@ -510,8 +525,9 @@ def kron_row_oracle(lam: Partition, mus: Iterable[Partition]) -> Iterator[Charac
 def kron_product_oracle(lam: Partition, mu: Partition) -> CharacterExpansion:
     """Full Kronecker product expansion via the character table: the
     one-mu row of ``kron_row_oracle``."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
+    # checked before the row builds a table, so that a mismatch above the
+    # ceiling reports the mismatch, not the ceiling
+    same_degree(lam.n, mu.n)
     return next(kron_row_oracle(lam, (mu,)))
 
 

@@ -45,6 +45,7 @@ from .partitions import (
     is_rectangle,
     remove_node,
     removable_nodes,
+    same_degree,
     skew_normalize,
 )
 from .verdict import MF_NO, MfVerdict
@@ -109,9 +110,7 @@ def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     clause fires where it fires on the conjugates, with the same tags.
     If none of the four faces is an anchor, no clause fires.
     """
-    n = lam.n
-    if n != mu.n:
-        raise ValueError(f"degree mismatch: {n} vs {mu.n}")
+    n = same_degree(lam.n, mu.n)
     if n < 1:
         raise ValueError("degree must be at least 1")
     anchors, clauses = _pair_clauses(n)
@@ -134,9 +133,7 @@ def is_mf_triple(lam: Partition, mu: Partition, nu: Partition) -> MfVerdict:
     permute or twist constituents); three non-linear operands never give
     a multiplicity-free product.
     """
-    if not (lam.n == mu.n == nu.n):
-        raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
-    if lam.n < 1:
+    if same_degree(lam.n, mu.n, nu.n) < 1:
         raise ValueError("degree must be at least 1")
     nonlinear = [p for p in (lam, mu, nu) if not is_linear(p)]
     if len(nonlinear) == 3:
@@ -294,8 +291,7 @@ def kk_times_hook_mult(k: int, b: int, nu: Partition) -> int:
     n = 2 * k
     if k < 1 or not (0 <= b <= n - 1):
         raise ValueError(f"bad hook parameters k={k}, b={b}")
-    if nu.n != n:
-        raise ValueError(f"degree mismatch: {nu.n} vs {n}")
+    same_degree(nu.n, n)
     if durfee_length(nu) >= 3:
         return 0
     if is_hook(nu):

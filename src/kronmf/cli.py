@@ -238,18 +238,7 @@ def _cmd_table(args) -> int:
     elif args.format == "csv":
         print(table.to_csv(), end="")
     else:
-        labels = [format_partition(p) for p in table.rows]
-        widths = [max(len(format_partition(c)), 1) for c in table.cols]
-        widths = [
-            max(w, *(len(str(row[j])) for row in table.values))
-            for j, w in enumerate(widths)
-        ]
-        label_w = max(len("class size"), *(len(s) for s in labels))
-        head = " ".join(c.rjust(w) for c, w in zip((format_partition(c) for c in table.cols), widths))
-        print(f"{'':>{label_w}} {head}")
-        print(f"{'class size':>{label_w}} " + " ".join(str(cs).rjust(w) for cs, w in zip(table.class_sizes, widths)))
-        for label, row in zip(labels, table.values):
-            print(f"{label:>{label_w}} " + " ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+        print(table.to_text(), end="")
     return 0
 
 

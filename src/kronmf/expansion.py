@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .partitions import Partition, dimension, format_partition
+from .partitions import Partition, dimension, format_partition, same_degree
 
 
 class CharacterExpansion:
@@ -84,11 +84,11 @@ class CharacterExpansion:
         return self._merge(other, -1)
 
     def _merge(self, other: "CharacterExpansion", sign: int) -> "CharacterExpansion":
-        self._check_degree(other)
+        degree = same_degree(self.degree, other.degree)
         out = dict(self._terms)
         for p, m in other._terms.items():
             out[p] = out.get(p, 0) + sign * m
-        return CharacterExpansion(self.degree, out)
+        return CharacterExpansion(degree, out)
 
     def scale(self, c: int) -> "CharacterExpansion":
         return CharacterExpansion(self.degree, {p: c * m for p, m in self._terms.items()})
@@ -108,10 +108,6 @@ class CharacterExpansion:
 
     def total_dimension(self) -> int:
         return sum(m * dimension(p) for p, m in self._terms.items())
-
-    def _check_degree(self, other: "CharacterExpansion") -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def __str__(self) -> str:
         if not self._terms:

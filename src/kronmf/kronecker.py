@@ -48,6 +48,7 @@ from .partitions import (
     partition_sum,
     remove_node,
     removable_nodes,
+    same_degree,
     split_rows,
 )
 
@@ -70,8 +71,7 @@ def _resolve_engine(engine: str, n: int) -> str:
 
 def max_width(lam: Partition, mu: Partition) -> int:
     """Largest first part among constituents of [lam].[mu]: |lam ^ mu|."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
+    same_degree(lam.n, mu.n)
     return intersect(lam, mu).n
 
 
@@ -267,12 +267,11 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
     bands again per call; a caller that needs every coefficient of a
     pair uses ``kron_product``, which sweeps once.
     """
-    if not (lam.n == mu.n == nu.n):
-        raise ValueError(f"degree mismatch: {lam.n}, {mu.n}, {nu.n}")
+    n = same_degree(lam.n, mu.n, nu.n)
     lam, mu, flip = _orient(lam, mu)
     if flip:
         nu = conjugate(nu)
-    if nu.row(1) < lam.row(1) + mu.row(1) - lam.n:
+    if nu.row(1) < lam.row(1) + mu.row(1) - n:
         return 0
     return _sweep(lam, mu, nu.row(1)).get(nu, 0)
 
@@ -280,8 +279,7 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
 def g_at_max_width(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Coefficient when nu_1 equals |lam ^ mu| (the closed top of the sweep)."""
     w = max_width(lam, mu)
-    if nu.n != lam.n:
-        raise ValueError(f"degree mismatch: {nu.n} vs {lam.n}")
+    same_degree(nu.n, lam.n)
     if nu.row(1) != w:
         raise ValueError(f"nu_1 = {nu.row(1)} != |lam ^ mu| = {w}")
     return _band(*canonical_pair(lam, mu), w).get(Partition(nu[1:]), 0)
@@ -298,12 +296,11 @@ def kron_coefficient(lam: Partition, mu: Partition, nu: Partition, engine: str =
 def kron_product(lam: Partition, mu: Partition, engine: str = "auto") -> CharacterExpansion:
     """Full product expansion through the requested engine; Dvir's memo
     entry is handed over uncopied, as ``skew_expand`` hands over its tally."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
-    eng = _resolve_engine(engine, lam.n)
+    n = same_degree(lam.n, mu.n)
+    eng = _resolve_engine(engine, n)
     if eng == "oracle":
         return kron_product_oracle(lam, mu)
-    return CharacterExpansion(lam.n, _dvir_product(lam, mu), _trusted=True)
+    return CharacterExpansion(n, _dvir_product(lam, mu), _trusted=True)
 
 
 def kron_row(
@@ -328,10 +325,9 @@ def multiply_expansions(
     a: CharacterExpansion, b: CharacterExpansion, engine: str = "auto"
 ) -> CharacterExpansion:
     """Pointwise (Kronecker) product of two expansions of equal degree."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    engine = _resolve_engine(engine, a.degree)
-    return bilinear(a, b, lambda sig, tau: kron_product(sig, tau, engine), a.degree)
+    n = same_degree(a.degree, b.degree)
+    engine = _resolve_engine(engine, n)
+    return bilinear(a, b, lambda sig, tau: kron_product(sig, tau, engine), n)
 
 
 # --- semigroup lower bounds ---
@@ -410,9 +406,7 @@ def virtual_extension_chi(lam: Partition, mu: Partition, engine: str = "auto") -
     the result, g(lam, mu, (m-1, kappa)) equals that multiplicity, where
     m = |beta|.
     """
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {mu.n}")
-    n = lam.n
+    n = same_degree(lam.n, mu.n)
     banned = {(n, 0, 0), (n - 1, 1, 0)}
     for p in (lam, mu):
         if _face(p, False) in banned or _face(p, True) in banned:

@@ -48,6 +48,11 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
     filling is tallied under the counts array itself, copied in C; each
     distinct array has one content, built once at the end, so the
     contents keep the order in which they were first met.
+
+    counts has len(outer) + 2 entries: value v, at most its row number,
+    is counted at index v, index 0 is unused, and the last entry is never
+    written, a sentinel zero.  The nonzero counts come first, so a content
+    is the slice from index 1 to the first zero after it.
     """
     # per cell: its row, whether a cell lies to its right, the cell above or -1
     row_of, has_right, above = [], [], []
@@ -89,7 +94,7 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
             k -= 1
             v = values[k]
         else:
-            return {_unchecked(c for c in key if c): m for key, m in tally.items()}
+            return {_unchecked(key[1 : key.index(0, 1)]): m for key, m in tally.items()}
         counts[v] -= 1
         v += 1
 

@@ -6,8 +6,9 @@ immutable and hashable, so they can be used as memo keys and shared
 freely between threads.  Skew shapes are read as row spans: one walk
 over the rows gives a shape's basic form and its components, and the
 basic shapes of a size are listed from their row lengths and offsets.
-It also owns the text grammar (integers, partitions, CSV fields) and,
-in ``_face``, the test of a small shape up to conjugation.
+It also owns the text grammar (integers, partitions, CSV fields), the
+one degree check (``same_degree``) and, in ``_face``, the test of a
+small shape up to conjugation.
 """
 
 from __future__ import annotations
@@ -143,6 +144,17 @@ def intersect(p: Partition, q: Partition) -> Partition:
     return _unchecked(min(a, b) for a, b in zip(p, q))
 
 
+def same_degree(*degrees: int) -> int:
+    """The common value of degrees that must agree, else ValueError
+    naming them in the order given: "a vs b" for two, "a, b, c" for more.
+    The one degree check of every product, pairing and coefficient; the
+    comparison is one C-level count, since it runs once per product."""
+    if degrees.count(degrees[0]) != len(degrees):
+        sep = " vs " if len(degrees) == 2 else ", "
+        raise ValueError("degree mismatch: " + sep.join(map(str, degrees)))
+    return degrees[0]
+
+
 def canonical_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     """{lam, mu} lex-larger first: the key order of every pair memo and the cache."""
     return (lam, mu) if lam >= mu else (mu, lam)
@@ -197,7 +209,9 @@ def add_node(p: Partition, node: Node) -> Partition:
 
 
 def hook_length(p: Partition, i: int, j: int) -> int:
-    """Hook length of the 1-based node (i, j)."""
+    """Hook length of the 1-based node (i, j) of p's diagram."""
+    if not (1 <= i <= len(p) and 1 <= j <= p[i - 1]):
+        raise ValueError(f"node ({i}, {j}) is not in the diagram of {p!r}")
     arm = p[i - 1] - j
     leg = sum(1 for r in range(i, len(p)) if p[r] >= j)
     return arm + leg + 1

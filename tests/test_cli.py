@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -235,6 +236,19 @@ class TestTable:
         res = run_cli("table", n, "--format", fmt)
         assert res.returncode == 0
         assert res.stdout == expected
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_text_lines_up(self, n):
+        # every line one length, and each class size and value ends in
+        # the column of its cycle type's last character
+        lines = run_cli("table", str(n)).stdout.splitlines()
+        assert len({len(line) for line in lines}) == 1
+        ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in lines]
+        columns = ends[0]
+        assert len(columns) == len(enumerate_partitions(n))
+        assert ends[1][2:] == columns  # after "class size"
+        for row in ends[2:]:
+            assert row[1:] == columns
 
     def test_ceiling_exit_2(self):
         res = run_cli("table", "40")

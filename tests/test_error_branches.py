@@ -9,7 +9,7 @@ the big-endian ``byteswap`` lines and the CLI's ``__main__`` guard.
 import pytest
 
 from kronmf.cache import HEADER_LINE, ProductCache
-from kronmf.characters import character_table, kron_product_oracle
+from kronmf.characters import character_table, character_value, kron_product_oracle
 from kronmf.classification import is_mf_triple, kk_square, staircase_square
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import g_at_max_width, g_dvir, kron_product, virtual_extension_chi
@@ -19,6 +19,7 @@ from kronmf.partitions import (
     add_node,
     enumerate_basic_skew_shapes,
     enumerate_partitions,
+    hook_length,
     remove_node,
 )
 
@@ -51,7 +52,28 @@ CASES = {
         lambda tmp: enumerate_basic_skew_shapes(-1),
         "size must be nonnegative",
     ),
+    "hook_length-row-0": (
+        lambda tmp: hook_length(P(3, 1), 0, 1),
+        "node (0, 1) is not in the diagram of Partition((3, 1))",
+    ),
+    "hook_length-column-0": (
+        lambda tmp: hook_length(P(3, 1), 1, 0),
+        "node (1, 0) is not in the diagram of Partition((3, 1))",
+    ),
+    "hook_length-past-the-row": (
+        lambda tmp: hook_length(P(3, 1), 1, 5),
+        "node (1, 5) is not in the diagram of Partition((3, 1))",
+    ),
+    "hook_length-column-past-a-lower-row": (
+        lambda tmp: hook_length(P(3, 1), 2, 3),
+        "node (2, 3) is not in the diagram of Partition((3, 1))",
+    ),
+    "hook_length-below-the-last-row": (
+        lambda tmp: hook_length(P(3, 1), 3, 1),
+        "node (3, 1) is not in the diagram of Partition((3, 1))",
+    ),
     "character_table-negative": (lambda tmp: character_table(-1), "n must be nonnegative"),
+    "character_value-degrees": (lambda tmp: character_value(P(3), P(2, 2)), "degree mismatch: 3 vs 4"),
     "kron_product_oracle-degrees": (lambda tmp: kron_product_oracle(P(2), P(1)), "degree mismatch: 2 vs 1"),
     "g_dvir-degrees": (lambda tmp: g_dvir(P(2), P(1), P(2)), "degree mismatch: 2, 1, 2"),
     "g_at_max_width-degrees": (lambda tmp: g_at_max_width(P(2), P(1, 1), P(1)), "degree mismatch: 1 vs 2"),
@@ -100,4 +122,17 @@ def test_put_of_a_loaded_key_writes_nothing(tmp_path):
     cache.flush()
     assert path.read_text() == HEADER_LINE + record
     assert cache.get(2, P(2), P(2)) == {P(2): 1}
+    assert len(cache) == 1
+
+
+def test_a_put_key_is_written_once_and_never_answered(tmp_path):
+    # one key store: a key put since the open reads as a miss, counts in
+    # len and is not written again, under either operand order
+    path = tmp_path / "cache.jsonl"
+    cache = ProductCache(str(path))
+    cache.put(2, P(2), P(1, 1), {P(1, 1): 1})
+    cache.put(2, P(1, 1), P(2), {P(1, 1): 1})
+    cache.flush()
+    assert path.read_text() == HEADER_LINE + '{"n":2,"lambda":"2","mu":"1,1","terms":[["1,1",1]]}\n'
+    assert cache.get(2, P(2), P(1, 1)) is None
     assert len(cache) == 1

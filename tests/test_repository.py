@@ -134,3 +134,55 @@ def test_program_imports_no_process_pool():
                 if any(name == p or name.startswith(p + ".") for p in pools)
             ]
     assert found == []
+
+
+def _docstrings(tree):
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_one_owner_spells_degree_mismatch():
+    # partitions.same_degree is the one degree check; the CLI names its
+    # operand texts in its own message.  Docstrings may mention it
+    owners = set()
+    for path in sorted((ROOT / "src" / "kronmf").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = _docstrings(tree)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and "degree mismatch" in node.value
+                        and id(node) not in docs
+                    ):
+                        owners.add(f"{path.stem}.{func.name}")
+    assert owners == {"partitions.same_degree", "cli._operands"}
+
+
+def test_cli_holds_no_width_arithmetic():
+    # the character table renders itself (CharacterTable.to_text)
+    tree = ast.parse((ROOT / "src" / "kronmf" / "cli.py").read_text())
+    assert not any(_mentions(tree, name) for name in ("rjust", "ljust", "center"))
+    aligned = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue)
+        and node.format_spec is not None
+        and any(c in ast.unparse(node.format_spec) for c in "<>^=")
+    ]
+    assert aligned == []
+
+
+def test_cache_defines_no_dict_subclass():
+    # one key store and one functools.cache term memo
+    tree = ast.parse((ROOT / "src" / "kronmf" / "cache.py").read_text())
+    bases = [ast.unparse(base) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for base in node.bases]
+    assert "dict" not in bases
