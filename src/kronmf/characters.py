@@ -15,15 +15,16 @@ The rows of lower degree live only during the build.  A single value
 (``character_value``) comes from the same rule applied forward, a
 border strip added per part (``_add_strips``), and stays the
 independent reference for the table.  All values are exact Python
-integers.  Three kernels are memoised with ``functools.cache`` for the
-life of the process, one entry per degree:
-``_table`` (one table), ``_packed`` (the same table packed by columns,
-and the rows' dimensions, built on the first product of a degree, never
-by ``character_table``) and ``_class_weights`` (the class sizes and the
-class-weighted column sums, built on the first ``is_mf_class_function``
-of a degree).
-Products from ``kron_row_oracle`` and single values from
-``character_value`` are recomputed on each call.
+integers.  Four kernels are memoised with ``functools.cache`` for the
+life of the process: ``_table`` (one table per degree), ``_packed``
+(the same table packed by columns, and the rows' dimensions, built on
+the first product of a degree, never by ``character_table``),
+``_class_weights`` (the class sizes and the class-weighted column sums,
+built on the first ``is_mf_class_function`` or ``mf_row`` of a degree)
+and ``_mf_packed`` (the table and its squares packed by columns, one
+entry per degree and slot width that ``mf_row`` asks for).
+Products from ``kron_row_oracle``, rows from ``mf_row`` and single
+values from ``character_value`` are recomputed on each call.
 
 A product [lam].[mu] is one Kronecker substitution (D. Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J.
@@ -37,7 +38,11 @@ of the row is one sum of those columns times chi^mu(rho), decoded by
 one exact division of the whole sum by n!, after which each slot's low
 word is g.  ``kron_product_oracle`` is its one-mu case.  ``kron_oracle``
 keeps the row dot product, one coefficient at a time, as the independent
-reference for the packed path.
+reference for the packed path.  The same substitution answers, for a
+genuine character chi and every alpha at once, whether chi . chi^alpha
+is multiplicity-free (``mf_row``): one packed sum over the columns and
+their squares holds n! sum m(m - 1) in slot alpha.  One packer,
+``_pack``, serves both.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ import os
 import sys
 from array import array
 from functools import cache
-from itertools import compress, groupby
+from itertools import compress, groupby, repeat
 from math import factorial, isqrt
-from operator import mul
+from operator import and_, itemgetter, mul, rshift
 from typing import Iterable, Iterator
 
 from .expansion import CharacterExpansion
@@ -68,6 +73,7 @@ _CEILING_ENV = "KRONMF_TABLE_CEILING"
 # the largest n with isqrt(n!) < 2^63: every character value of degree n
 # is at most dim <= isqrt(n!) in size, so the table's 64-bit words hold it
 MAX_TABLE_DEGREE = 33
+_WORD = (1 << 64) - 1
 
 
 class TableCeilingError(ValueError):
@@ -409,6 +415,49 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     return g
 
 
+def _pack(columns: Iterable[tuple[int, ...]], k: int, words: int, entry_words: int = 1) -> tuple[int, ...]:
+    """Each column of k integers x_i packed into one integer, the sum over
+    i of x_i * 2^(B i), B = 64 * words: one slot of ``words`` 64-bit words
+    per entry, in column order.
+
+    Every entry must satisfy |x| < 2^(64 * entry_words - 1), entry_words
+    <= words; array("q") refuses a top word that does not fit.
+
+    Packing is linear in the number of entries, with no per-entry Python
+    arithmetic: each column goes into an array of 64-bit words, and the
+    array is read as an unsigned integer A.  An entry fills the low
+    entry_words words of its slot, zero above: its two's complement in
+    64 * entry_words bits, the lower words unsigned (``& 2^64 - 1`` of
+    each shift) and the top word x >> (64 (entry_words - 1)) signed.  A
+    negative entry x so reads as x + 2^(64 entry_words), flagged by the
+    top bit of its top word, and the packed column is A minus twice the
+    flagged bits.  With one-word entries the column goes into the array
+    as it is.
+
+    Word order.  Slot i holds words i * W .. i * W + W - 1 of the
+    little-endian 64-bit word sequence of a packed sum, W = words, its
+    low word first.  So word j of every slot is the strided slice [j::W]
+    of that sequence, and slot i's value is the sum over j of word j <<
+    64 j.
+    """
+    top = entry_words - 1
+    sign_bits = int.from_bytes(
+        (bytes(8 * top + 7) + b"\x80" + bytes(8 * (words - entry_words))) * k, "little"
+    )
+    slots = array("q", bytes(8 * k * words))
+    packed = []
+    for column in columns:
+        for j in range(top):
+            low = array("Q", map(and_, map(rshift, column, repeat(64 * j)), repeat(_WORD)))
+            slots[j::words] = array("q", low.tobytes())
+        slots[top::words] = array("q", map(rshift, column, repeat(64 * top)) if top else column)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        a = int.from_bytes(slots, "little")
+        packed.append(a - ((a & sign_bits) << 1))
+    return tuple(packed)
+
+
 @cache
 def _packed(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The degree-n table packed by columns: (slot bytes, P_rho per column,
@@ -419,9 +468,10 @@ def _packed(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     nothing the table computed.
 
     P_rho = sum over rows nu of chi^nu(rho) * 2^(B * i_nu), i_nu being the
-    row index of nu and B = 8 * slot bytes.  So sum over rho of
-    w_rho * P_rho holds sum over rho of w_rho * chi^nu(rho) in slot nu,
-    as long as each slot's final value fits its B bits.
+    row index of nu and B = 8 * slot bytes (``_pack``, one-word entries).
+    So sum over rho of w_rho * P_rho holds sum over rho of w_rho *
+    chi^nu(rho) in slot nu, as long as each slot's final value fits its
+    B bits.
 
     Soundness.  For w_rho = cs_rho chi^lam(rho) chi^mu(rho), slot nu's
     exact value is sum over rho of cs chi^lam chi^mu chi^nu = n! g(lam,
@@ -435,34 +485,12 @@ def _packed(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     exact and only the final sum is read.  The largest dimension is read
     from the identity class, the last column; the n-cycle column, the
     first, has entries 0 and +-1 only.
-
-    Packing is linear in the table size, with no per-entry Python
-    arithmetic: each column goes into an array of 64-bit words (each
-    entry the low word of its slot, zero above; array("q") rejects
-    |entry| >= 2^63), which is read as an unsigned integer A.  A negative
-    entry x reads as x + 2^64, flagged by the top bit of its word, so
-    P_rho = A minus twice the flagged bits.
-
-    Word order.  Slot i holds words i * W .. i * W + W - 1 of the
-    little-endian 64-bit word sequence of a packed sum, W = B / 64, its
-    low word first.  So word j of every slot is the strided slice
-    [j::W] of that sequence, and slot i's value is the sum over j of
-    word j << 64 j.
     """
     t = _table(n)
     k = len(t.rows)
     dim_bound = factorial(n) * max(row[-1] for row in t.values)
     words = -(-(dim_bound.bit_length() + 2) // 64)
-    sign_bits = int.from_bytes((bytes(7) + b"\x80" + bytes(8 * words - 8)) * k, "little")
-    slots = array("q", bytes(8 * k * words))
-    columns = []
-    for column in zip(*t.values):
-        slots[::words] = array("q", column)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        a = int.from_bytes(slots, "little")
-        columns.append(a - ((a & sign_bits) << 1))
-    return 8 * words, tuple(columns), tuple(map(dimension, t.rows))
+    return 8 * words, _pack(zip(*t.values), k, words), tuple(map(dimension, t.rows))
 
 
 def kron_row_oracle(lam: Partition, mus: Iterable[Partition]) -> Iterator[CharacterExpansion]:
@@ -551,10 +579,77 @@ def is_mf_class_function(n: int, values) -> bool:
     of all irreducible characters.  So n! (<chi, chi> - <chi, r>) = n!
     sum of m(m - 1), which for a genuine chi (every m >= 0) is >= 0, and 0
     iff every m <= 1.  The test compares the two class sums exactly, with
-    no expansion and no division.  The callers pass genuine characters
-    only: an irreducible, a skew character (its Littlewood-Richardson
-    coefficients are >= 0), and pointwise products of these, which are
-    genuine because Kronecker coefficients are >= 0.
+    no expansion and no division.  The one caller in the program, the
+    oracle skew sweep, passes the pointwise product of two proper skew
+    characters, which is genuine: Littlewood-Richardson and Kronecker
+    coefficients are >= 0.  A product linear in one irreducible goes
+    through ``mf_row``, which applies this argument to a whole row.
     """
     sizes, weighted = _class_weights(n)
     return sum(map(mul, map(mul, sizes, values), values)) == sum(map(mul, weighted, values))
+
+
+@cache
+def _mf_packed(n: int, words: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(Q_rho, P_rho) per column of degree n, in column order, with slots of
+    ``words`` 64-bit words (``_pack``): Q_rho packs chi^alpha(rho)^2 and
+    P_rho packs chi^alpha(rho) over the rows alpha.
+
+    A square is at most (max dim)^2, read from the identity column, which
+    passes 2^63 at n = 22: its entries take as many words as that bound
+    needs, with a sign bit.  ``mf_row`` asks for few widths per degree.
+    """
+    t = _table(n)
+    columns = list(zip(*t.values))
+    square_words = (max(map(itemgetter(-1), t.values)) ** 2).bit_length() // 64 + 1
+    squares = (tuple(map(mul, column, column)) for column in columns)
+    return _pack(squares, len(columns), words, square_words), _pack(columns, len(columns), words)
+
+
+def mf_row(n: int, values, words: int | None = None) -> list[bool]:
+    """For each irreducible alpha of degree n, in row order: is chi . chi^alpha
+    multiplicity-free?  chi is a nonzero genuine character, given by its
+    ``values`` on the classes in column order.
+
+    Every alpha is read from one packed sum
+
+        D = sum over rho of (cs v^2) Q_rho - sum over rho of (cs r v) P_rho,
+
+    v = chi(rho), cs = cs_rho and r = r(rho) from ``_class_weights``, and
+    Q_rho, P_rho from ``_mf_packed``: at most 2 p(n) big-integer
+    multiply-adds, one pair per class where chi does not vanish, in place
+    of p(n) pointwise products, each summed twice.
+
+    Soundness.  Slot alpha of D is sum over rho of cs v^2 chi^alpha^2 -
+    cs r v chi^alpha, which is ``is_mf_class_function``'s difference for
+    the values v chi^alpha of chi . chi^alpha = sum of m_nu chi^nu: n!
+    sum of m_nu (m_nu - 1).  The m_nu are >= 0, because chi is genuine and
+    Kronecker coefficients are >= 0, so the slot is >= 0, and 0 iff the
+    product is multiplicity-free.  It is at most n! sum of m_nu^2 = sum
+    over rho of cs v^2 chi^alpha^2 <= dim(alpha)^2 sum over rho of cs v^2,
+    because |chi^alpha(rho)| <= dim(alpha).  The slots are B = 64 * words
+    bits wide with 2^B above (max dim)^2 sum of cs v^2, a bound taken
+    exactly on each call, so every slot lies in [0, 2^B) and the base-2^B
+    digits of the exact sum D are the slots, with no borrow or carry
+    between them, however the intermediate sums run.  ``to_bytes``
+    refuses a D that is negative or wider than p(n) slots, and writes
+    slot alpha as the alpha-th run of 8 * words bytes, which is 0 iff
+    all its bytes are.  Since chi != 0, sum of cs v^2 = n! <chi, chi> >=
+    n!, so for n >= 2 the bound is at least 2 (max dim)^2, and a square
+    with its sign bit fits a slot; for n <= 1 every square is 1.
+    ``words`` only widens the slots.
+    """
+    t = _table(n)
+    sizes, weighted = _class_weights(n)
+    squares = list(map(mul, map(mul, sizes, values), values))
+    bound = max(map(itemgetter(-1), t.values)) ** 2 * sum(squares)
+    words = max(words or 1, -(-bound.bit_length() // 64))
+    q_columns, p_columns = _mf_packed(n, words)
+    # a class where chi vanishes adds nothing to either sum
+    d = sum(map(mul, compress(squares, values), compress(q_columns, values))) - sum(
+        map(mul, compress(map(mul, weighted, values), values), compress(p_columns, values))
+    )
+    slot = 8 * words
+    digits = d.to_bytes(slot * len(t.rows), "little")
+    zero = bytes(slot)
+    return [digits[i : i + slot] == zero for i in range(0, len(digits), slot)]

@@ -11,10 +11,15 @@ keep no clock; the CLI times a whole run.
 
 Under the oracle the triple and skew sweeps expand no product: a
 character is its list of values on the classes (a table row, or one sum
-of rows per skew shape), a product is pointwise, and
-``characters.is_mf_class_function`` decides multiplicity-freeness from
-two class sums.  The pair and engine sweeps, and every sweep under Dvir,
-compute full products.  Both read one walk, ``_products``, which takes a
+of rows per distinct skew character), and one packed sum,
+``characters.mf_row``, tells for every irreducible alpha at once whether
+chi . chi^alpha is multiplicity-free.  The triple sweep reads one row
+per pair lambda >= mu, from mu on, and the skew sweep one row per
+distinct skew character.  A product of two proper skew characters is
+not linear in an irreducible, so it stays pointwise and
+``characters.is_mf_class_function`` decides it from two class sums.
+The pair and engine sweeps, and every sweep under Dvir, compute full
+products.  Both read one walk, ``_products``, which takes a
 row's products from one lazy generator, ``kron_row``: under the oracle
 it forms lambda's class-weighted packed columns once, and decodes each
 [lambda].[mu] of the row with one exact division of the packed sum by
@@ -31,7 +36,7 @@ from itertools import starmap
 from operator import add, mul
 
 from .cache import ProductCache
-from .characters import character_table, is_mf_class_function
+from .characters import character_table, is_mf_class_function, mf_row
 from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
 from .expansion import CharacterExpansion
 from .kronecker import _resolve_engine, kron_product, kron_row, multiply_expansions
@@ -163,22 +168,29 @@ def verify_pairs(n: int, engine: str = "auto", cache: ProductCache | None = None
 
 def _character_ring(n: int, engine: str):
     """How a sweep at degree n holds characters, multiplies them and tests
-    a product: (lift, times, mf).
+    a product: (lift, times, mf, row).
 
-    Under the oracle a character is its list of values on the classes:
-    ``lift`` sums table rows once per character, a product is pointwise,
-    and ``is_mf_class_function`` decides multiplicity-freeness from two
-    class sums, so no product is expanded.  Under Dvir a character stays
-    a ``CharacterExpansion`` and products go through
-    ``multiply_expansions``, which never touches a table.
+    ``row(chi, start)`` yields, for the irreducibles alpha of degree n
+    from row index ``start`` on, whether chi . chi^alpha is
+    multiplicity-free.  Under the oracle a character is its list of
+    values on the classes: ``lift`` sums table rows once per character,
+    a product is pointwise, ``mf`` is ``is_mf_class_function``'s two class
+    sums, and a row is one packed sum, ``characters.mf_row``, so no
+    product is expanded.  Under Dvir a character stays a
+    ``CharacterExpansion``, products go through ``multiply_expansions``,
+    which never touches a table, and a row tests each product in turn,
+    only as far as it is read.
     """
     engine = _resolve_engine(engine, n)
     if engine != "oracle":
-        return (
-            lambda chi: chi,
-            partial(multiply_expansions, engine=engine),
-            CharacterExpansion.is_multiplicity_free,
-        )
+        irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
+        times = partial(multiply_expansions, engine=engine)
+        mf = CharacterExpansion.is_multiplicity_free
+
+        def row(chi: CharacterExpansion, start: int = 0):
+            return (mf(times(chi, a)) for a in irr[start:])
+
+        return lambda chi: chi, times, mf, row
     table = character_table(n)
 
     def lift(chi: CharacterExpansion) -> list[int]:
@@ -187,18 +199,23 @@ def _character_ring(n: int, engine: str):
             values = list(map(add, values, map(m.__mul__, table.row(p))))
         return values
 
-    return lift, lambda a, b: list(map(mul, a, b)), partial(is_mf_class_function, n)
+    return (
+        lift,
+        lambda a, b: list(map(mul, a, b)),
+        partial(is_mf_class_function, n),
+        lambda values, start=0: mf_row(n, values)[start:],
+    )
 
 
 def _triple_rows(n: int, engine: str):
     parts = enumerate_partitions(n)
-    lift, times, mf = _character_ring(n, engine)
+    lift, times, _, row = _character_ring(n, engine)
     irr = [lift(CharacterExpansion.irreducible(p)) for p in parts]
     for i, lam in enumerate(parts):
         for j, mu in enumerate(parts[i:], start=i):
-            left = times(irr[i], irr[j])
-            for k, nu in enumerate(parts[j:], start=j):
-                yield _mf_row(is_mf_triple(lam, mu, nu), mf(times(left, irr[k])), lam, mu, nu)
+            # one row per (lam, mu), read from mu on
+            for nu, computed in zip(parts[j:], row(times(irr[i], irr[j]), j)):
+                yield _mf_row(is_mf_triple(lam, mu, nu), computed, lam, mu, nu)
 
 
 def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
@@ -208,29 +225,36 @@ def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
 
 def _skew_rows(n: int, engine: str):
     alphas = enumerate_partitions(n)
-    lift, times, mf = _character_ring(n, engine)
-    irr = [lift(CharacterExpansion.irreducible(alpha)) for alpha in alphas]
-    # a proper character's first shape and its lifted form
-    proper: dict[CharacterExpansion, tuple[SkewShape, object]] = {}
+    lift, times, mf, row = _character_ring(n, engine)
+    # each distinct character's lifted form and its row, the first time
+    # a shape has it; a proper character's first shape
+    rows: dict[CharacterExpansion, tuple[object, list[bool]]] = {}
+    proper: dict[CharacterExpansion, SkewShape] = {}
     n_proper = 0
     for s in enumerate_basic_skew_shapes(n):
         chi = skew_expand(s)
         yield _mf_row(is_mf_skew(s), chi.is_multiplicity_free(), s, "-")
-        lifted = lift(chi)
+        entry = rows.get(chi)
+        if entry is None:
+            lifted = lift(chi)
+            entry = rows[chi] = lifted, list(row(lifted))
         if is_proper_skew(s):
             n_proper += 1
-            proper.setdefault(chi, (s, lifted))
-        for alpha, a in zip(alphas, irr):
-            yield _mf_row(is_mf_skew_times_irr(s, alpha), mf(times(lifted, a)), s, alpha)
+            proper.setdefault(chi, s)
+        for alpha, computed in zip(alphas, entry[1]):
+            yield _mf_row(is_mf_skew_times_irr(s, alpha), computed, s, alpha)
 
-    mf_proper = sorted(
-        (chi for chi in proper if chi.is_multiplicity_free()),
-        key=lambda c: sorted(c.terms().items(), reverse=True),
-    )
-    for i, a in enumerate(mf_proper):
-        s, x = proper[a]
-        for b in mf_proper[i:]:
-            t, y = proper[b]
+    # a product of two proper characters is not linear in an irreducible,
+    # so no row answers it
+    mf_proper = [
+        (proper[chi], rows[chi][0])
+        for chi in sorted(
+            (chi for chi in proper if chi.is_multiplicity_free()),
+            key=lambda c: sorted(c.terms().items(), reverse=True),
+        )
+    ]
+    for i, (s, x) in enumerate(mf_proper):
+        for t, y in mf_proper[i:]:
             yield _mf_row(False, mf(times(x, y)), s, t)
     # the other pairs repeat a computed pair's characters or have a non-mf
     # factor, settled by the repeated-constituent argument; one count row
@@ -247,8 +271,10 @@ def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
     checks of ``is_mf_skew_times_irr``.  Each unordered pair of proper
     shapes is one check that the product is not multiplicity-free, so
     ``pairs_checked`` is B (1 + p(n)) + P (P + 1) / 2 for B basic and P
-    proper shapes.  Only pairs of multiplicity-free proper characters
-    are computed, once per distinct pair of characters: a factor with a
+    proper shapes.  A shape's p(n) products with an irreducible are read
+    from one row per distinct skew character.  Only pairs of
+    multiplicity-free proper characters are computed, once per distinct
+    pair of characters: a factor with a
     repeated constituent sigma contributes 2([sigma].[t]) != 0 to the
     product, so those pairs can never be multiplicity-free.  The pairs
     not computed come as one count row, which ``_report`` adds without a

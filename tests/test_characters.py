@@ -18,6 +18,7 @@ from kronmf.characters import (
     kron_oracle,
     kron_product_oracle,
     kron_row_oracle,
+    mf_row,
 )
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import multiply_expansions
@@ -432,6 +433,62 @@ class TestClassSumVerdict:
                 for b in proper[i:]:
                     self.assert_verdict(a, b)
 
+
+
+class TestMfRow:
+    """mf_row, every chi . chi^alpha from one packed sum, against the
+    expanded products' own test."""
+
+    @pytest.fixture(autouse=True)
+    def _irreducible_products_once(self, monkeypatch):
+        monkeypatch.setattr(kronecker, "kron_product_oracle", functools.cache(kron_product_oracle))
+
+    @staticmethod
+    def assert_row(chi):
+        irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(chi.degree)]
+        got = mf_row(chi.degree, TestClassSumVerdict.values(chi))
+        assert got == [multiply_expansions(chi, a, "oracle").is_multiplicity_free() for a in irr], chi
+
+    def test_every_triple_up_to_8(self):
+        for n in range(9):
+            irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
+            for i, a in enumerate(irr):
+                for b in irr[i:]:
+                    self.assert_row(multiply_expansions(a, b, "oracle"))
+
+    def test_every_basic_shape_up_to_7(self):
+        for n in range(1, 8):
+            for chi in {skew_expand(s): None for s in enumerate_basic_skew_shapes(n)}:
+                self.assert_row(chi)
+
+    def test_forced_multi_word_slots_up_to_8(self, monkeypatch):
+        # every row here fits one-word slots; two- and three-word slots,
+        # whose byte runs are wider, read the same verdicts
+        widths = set()
+        packed = characters._mf_packed
+        monkeypatch.setattr(characters, "_mf_packed", lambda n, words: widths.add((n, words)) or packed(n, words))
+        for n in range(1, 9):
+            t = character_table(n)
+            for i, x in enumerate(t.values):
+                for y in t.values[i:]:
+                    values = [a * b for a, b in zip(x, y)]
+                    one = mf_row(n, values)
+                    assert mf_row(n, values, 2) == mf_row(n, values, 3) == one
+        assert widths == {(n, words) for n in range(1, 9) for words in (1, 2, 3)}
+
+    def test_multi_word_entries_pack_exactly(self):
+        # entries of both signs past 2^63 and 2^64, in two-word entries of
+        # three-word slots, against the plain sum of x_i 2^(192 i); and past
+        # 2^128 in three-word entries, whose middle word is shifted by 64
+        column = (2**127 - 1, -(2**127), 2**64, -(2**64) - 1, 2**63, -(2**63) - 1, 0, -1, 1)
+        packed = characters._pack([column, column[::-1]], len(column), 3, 2)
+        assert packed == tuple(
+            sum(x << (192 * i) for i, x in enumerate(c)) for c in (column, column[::-1])
+        )
+        wide = (2**191 - 1, -(2**191), 2**128 + 2**64 + 1, -(2**128) - 1, -1)
+        assert characters._pack([wide], len(wide), 4, 3) == (sum(x << (256 * i) for i, x in enumerate(wide)),)
+        with pytest.raises(OverflowError):
+            characters._pack([(2**127,)], 1, 3, 2)
 
 class TestConcurrency:
     def test_parallel_reads_are_consistent(self):

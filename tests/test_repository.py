@@ -69,9 +69,10 @@ def _memoised(module):
 
 
 def test_character_kernels_memoised_for_the_process():
-    # only these three keep a degree's data for the life of the process;
-    # the lower-degree rows of the table build stay local to the build
-    assert _memoised("characters") == {"_table", "_packed", "_class_weights"}
+    # only these keep a degree's data for the life of the process, the
+    # packed rows of squares one entry per slot width asked for; the
+    # lower-degree rows of the table build stay local to the build
+    assert _memoised("characters") == {"_table", "_packed", "_class_weights", "_mf_packed"}
 
 
 def test_dvir_kernels_memoised_for_the_process():

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, starmap
 
 import pytest
 
@@ -63,6 +63,11 @@ def always_mf(a, b, engine="auto"):
 def always_mf_values(n, values):
     """A stand-in for is_mf_class_function that calls every product mf."""
     return True
+
+
+def always_mf_row(n, values):
+    """A stand-in for mf_row that calls every product chi . chi^alpha mf."""
+    return [True] * len(values)
 
 
 class TestProductCache:
@@ -251,8 +256,8 @@ class TestReports:
     # Each case makes one mode report mismatches: a flipped predicate, a
     # Dvir product with one constituent raised, or a multiplicity-free
     # verdict on every product (the skew sweep's skew-times-irreducible
-    # and proper-times-proper rows, which the oracle decides from class
-    # sums).  The rows, their order and both renderings were taken from
+    # rows, which the oracle reads from one packed row per character, and
+    # its proper-times-proper rows, which it decides from class sums).  The rows, their order and both renderings were taken from
     # the per-mode report loops that came before the shared one, when the
     # skew-products case replaced every expansion product instead.
     @pytest.mark.parametrize(
@@ -264,7 +269,8 @@ class TestReports:
              "0ab9b3d734f7d46c1f3e1434ede347c151b03d3d40cff8031fc7ad650873edbe"),
             ("skew", 4, {"is_mf_skew": flipped, "is_mf_skew_times_irr": flipped}, 168,
              "5995e04d9f31b5a63b25667da66bc47cc747e1d02dcd7f5e4ac8d726098c1db4"),
-            ("skew", 5, {"is_mf_class_function": lambda real: always_mf_values}, 595,
+            ("skew", 5, {"is_mf_class_function": lambda real: always_mf_values,
+                         "mf_row": lambda real: always_mf_row}, 595,
              "6f2c24dc34ca8e7015f7aaaf272413e4bbe97a733c8f86f57137379d9032452b"),
             ("engines", 5, {"kron_product": bump_dvir}, 28,
              "d8c3f561045c8a53a7a0b99829e27d4b4cda1b90f0bbfabe8a5bdf7b88c1c21e"),
@@ -301,7 +307,9 @@ class TestReports:
     )
 
     def test_skew_product_rows_text(self, monkeypatch):
-        # the oracle decides each product from class sums
+        # the oracle reads each skew-times-irreducible product from a
+        # packed row, and each proper pair from class sums
+        monkeypatch.setattr(verify_mod, "mf_row", always_mf_row)
         monkeypatch.setattr(verify_mod, "is_mf_class_function", always_mf_values)
         assert verify_skew(3).to_text() == (
             "verify mode=skew n=3 engine=auto\n" + self.SKEW_3_PRODUCT_ROWS
@@ -315,10 +323,18 @@ class TestReports:
         )
 
     def test_oracle_sweeps_test_the_expanded_products(self, monkeypatch):
-        # the class functions that the oracle sweeps hand to the class-sum
-        # test are exactly those of the products the sweeps stand for,
-        # each expanded here by multiply_expansions
-        asked = []
+        # the characters that the oracle sweeps hand to the packed row and
+        # the class functions they hand to the class-sum test are exactly
+        # those of the products the sweeps stand for, each expanded here
+        # by multiply_expansions: one row per distinct skew character and
+        # per pair lam >= mu, each pair of mf proper characters once
+        rows, asked = [], []
+
+        def row(n, values):
+            rows.append(tuple(values))
+            return [True] * len(values)
+
+        monkeypatch.setattr(verify_mod, "mf_row", row)
         monkeypatch.setattr(
             verify_mod, "is_mf_class_function", lambda n, values: asked.append(tuple(values))
         )
@@ -336,16 +352,19 @@ class TestReports:
         n = 5
         irr = [CharacterExpansion.irreducible(p) for p in enumerate_partitions(n)]
         shapes = enumerate_basic_skew_shapes(n)
+        distinct = list({skew_expand(s): None for s in shapes})
         proper = list({skew_expand(s): None for s in shapes if is_proper_skew(s)})
         mf_proper = [chi for chi in proper if chi.is_multiplicity_free()]
-        expected = [product(skew_expand(s), a) for s in shapes for a in irr]
-        expected += [product(a, b) for a, b in combinations_with_replacement(mf_proper, 2)]
+        expected = [product(a, b) for a, b in combinations_with_replacement(mf_proper, 2)]
         verify_skew(n)
+        assert Counter(rows) == Counter(map(product, distinct))
         assert Counter(asked) == Counter(expected)
 
+        rows.clear()
         asked.clear()
         verify_triples(n)
-        assert Counter(asked) == Counter(product(*t) for t in combinations_with_replacement(irr, 3))
+        assert Counter(rows) == Counter(starmap(product, combinations_with_replacement(irr, 2)))
+        assert not asked
 
 
 @pytest.mark.parametrize("ceiling", [3, 14])
