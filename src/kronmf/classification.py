@@ -14,11 +14,24 @@ predicate builds no conjugate: it reads each operand's face
 (``partitions._face``), the operand or its conjugate padded to three rows.
 
 Each predicate states every clause once and derives each fact about an
-operand once per call: the pair and skew predicates build their clause
-constants once per degree, and the skew predicate reads the basic shape
-and its partition label from ``skew_normalize``, defers to the pair
-predicate when there is a label, and otherwise compares one skew
-expansion with the closed forms and their sign twists.
+operand once per operand, not once per check.  Behind each public
+predicate sits one private side function, ``_pair_side(lam, n)``,
+``_triple_side(lam, mu, n)`` or ``_skew_side(s, n)``: it reads the fixed
+operands once and returns the verdict function of the last operand.
+The public predicate is exactly its degree or size check followed by
+its side applied to the last operand.  So a sweep that builds one side
+per row and asks it about every operand of the row checks the very
+predicate that ``classify`` answers, with the same verdicts, clause
+tags and normalizations.  The pair and skew predicates build their
+clause constants once per degree.  The pair side reads lam's two faces
+and its anchor test once.  The triple side tests lam and mu for
+linearity once, and reads the two-nonlinear pair verdict at the first
+linear nu.  The skew side reads the basic shape and its partition label
+from ``skew_normalize`` once, and defers to the label's pair side when
+there is a label; otherwise it expands the shape at the first alpha a
+clause reads, and compares that one expansion with the closed forms and
+their sign twists once.  No side is memoised: it lives as long as its
+caller keeps it, one row in the sweeps.
 """
 
 from __future__ import annotations
@@ -92,8 +105,39 @@ def _pair_clauses(n: int) -> tuple[frozenset[tuple[int, ...]], tuple]:
     )
 
 
+def _pair_side(lam: Partition, n: int):
+    """``is_mf_pair(lam, .)`` on partitions of n, lam's facts read once.
+
+    Returns the verdict function of the second operand.  lam's two
+    faces, and whether either is an anchor, are read here, once per
+    lam; each call reads mu's faces and runs the clauses of
+    ``is_mf_pair`` on them unchanged.  The pair sweep builds one side
+    per lam and asks it about every mu of the row.
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    anchors, clauses = _pair_clauses(n)
+    lam_faces = _face(lam, False), _face(lam, True)
+    lam_anchored = not anchors.isdisjoint(lam_faces)
+
+    def side(mu: Partition) -> MfVerdict:
+        mu_faces = _face(mu, False), _face(mu, True)
+        if not lam_anchored and anchors.isdisjoint(mu_faces):
+            return MF_NO
+        for clause, holds in enumerate(clauses, start=1):
+            for (cl, cr), norm in _CONJ_COMBOS:
+                x, y = lam_faces[cl], mu_faces[cr]
+                if holds(x, y, lam, mu) or holds(y, x, mu, lam):
+                    return MfVerdict(True, f"pair-case-{clause}", norm)
+        return MF_NO
+
+    return side
+
+
 def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     """Is [lam].[mu] multiplicity-free?  The complete classification.
+
+    Exactly the degree check and then ``_pair_side(lam, n)(mu)``.
 
     Clause i holds when its test holds for (x, y) or (y, x), where x
     and y are the operands after one of the four conjugation choices.
@@ -110,45 +154,64 @@ def is_mf_pair(lam: Partition, mu: Partition) -> MfVerdict:
     clause fires where it fires on the conjugates, with the same tags.
     If none of the four faces is an anchor, no clause fires.
     """
-    n = same_degree(lam.n, mu.n)
+    return _pair_side(lam, same_degree(lam.n, mu.n))(mu)
+
+
+_TRIPLE_ALL_LINEAR = MfVerdict(True, "triple-all-linear")
+_TRIPLE_IRREDUCIBLE = MfVerdict(True, "triple-reduced-irreducible", ("linear-reduction",))
+_TRIPLE_REDUCTION = "triple-reduced", ("linear-reduction",)
+
+
+def _triple_side(lam: Partition, mu: Partition, n: int):
+    """``is_mf_triple(lam, mu, .)`` on partitions of n, lam and mu read once.
+
+    Returns the verdict function of the third operand.  The linearity
+    of lam and mu is tested here, once per (lam, mu).  With both
+    non-linear, a non-linear nu gives three non-linear operands, and a
+    linear nu the pair verdict of (lam, mu), computed at the first
+    linear nu and handed back for every later one.  With one of them, p,
+    non-linear, nu is read by p's pair side, p first as in the operand
+    order.  The triple sweep builds one side per (lam, mu).
+    """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    anchors, clauses = _pair_clauses(n)
-    lam_faces = _face(lam, False), _face(lam, True)
-    mu_faces = _face(mu, False), _face(mu, True)
-    if anchors.isdisjoint(lam_faces + mu_faces):
-        return MF_NO
-    for clause, holds in enumerate(clauses, start=1):
-        for (cl, cr), norm in _CONJ_COMBOS:
-            x, y = lam_faces[cl], mu_faces[cr]
-            if holds(x, y, lam, mu) or holds(y, x, mu, lam):
-                return MfVerdict(True, f"pair-case-{clause}", norm)
-    return MF_NO
+    nonlinear = [p for p in (lam, mu) if not is_linear(p)]
+    if len(nonlinear) == 2:
+        reduced = None
+
+        def side(nu: Partition) -> MfVerdict:
+            nonlocal reduced
+            if not is_linear(nu):
+                return MF_NO
+            if reduced is None:
+                reduced = _pair_side(lam, n)(mu).reduced(*_TRIPLE_REDUCTION)
+            return reduced
+
+        return side
+    if nonlinear:
+        pair = _pair_side(nonlinear[0], n)
+        return lambda nu: _TRIPLE_IRREDUCIBLE if is_linear(nu) else pair(nu).reduced(*_TRIPLE_REDUCTION)
+    return lambda nu: _TRIPLE_ALL_LINEAR if is_linear(nu) else _TRIPLE_IRREDUCIBLE
 
 
 def is_mf_triple(lam: Partition, mu: Partition, nu: Partition) -> MfVerdict:
     """Is the triple product multiplicity-free?
 
+    Exactly the degree check and then ``_triple_side(lam, mu, n)(nu)``.
     Linear operands are peeled off (trivial and sign characters only
     permute or twist constituents); three non-linear operands never give
     a multiplicity-free product.
     """
-    if same_degree(lam.n, mu.n, nu.n) < 1:
-        raise ValueError("degree must be at least 1")
-    nonlinear = [p for p in (lam, mu, nu) if not is_linear(p)]
-    if len(nonlinear) == 3:
-        return MF_NO
-    if len(nonlinear) == 2:
-        return is_mf_pair(*nonlinear).reduced("triple-reduced", ("linear-reduction",))
-    if len(nonlinear) == 1:
-        return MfVerdict(True, "triple-reduced-irreducible", ("linear-reduction",))
-    return MfVerdict(True, "triple-all-linear")
+    return _triple_side(lam, mu, same_degree(lam.n, mu.n, nu.n))(nu)
 
 
 def _twist_tag(
-    chi: CharacterExpansion, target: tuple[CharacterExpansion, CharacterExpansion]
+    chi: CharacterExpansion, target: tuple[CharacterExpansion, CharacterExpansion] | None
 ) -> tuple[str, ...] | None:
-    """() if chi is the closed form, ("twist-skew",) if it is its sign twist."""
+    """() if chi is the closed form, ("twist-skew",) if it is its sign
+    twist, else None, also when the case has no target at this degree."""
+    if target is None:
+        return None
     form, twisted = target
     if chi == form:
         return ()
@@ -181,9 +244,58 @@ def _skew_clauses(n: int) -> tuple:
     return (kk, Partition((2,) * k)), kk, case_2, target((k + 1, k - 1), (k, k))
 
 
+_SKEW_EMPTY = MfVerdict(True, "skew-irr-empty")
+
+
+def _skew_side(s: SkewShape, n: int):
+    """``is_mf_skew_times_irr(s, .)`` on partitions of n = |s|, s read once.
+
+    Returns the verdict function of alpha.  ``skew_normalize`` is read
+    here, once per shape: an empty shape answers every alpha, and a
+    shape with a partition label hands alpha to the label's pair side.
+    A proper shape is expanded at the first alpha that a clause reads,
+    and then asked once whether it is multiplicity-free and once, by
+    ``_twist_tag``, whether it is the case-2 or the case-3 closed form
+    up to a sign twist; every later alpha reads those three facts.  The
+    skew sweep builds one side per shape.
+    """
+    norm = skew_normalize(s)
+    if norm.basic.size == 0:
+        return lambda alpha: _SKEW_EMPTY
+    if norm.label is not None:
+        pair = _pair_side(norm.label, n)
+        return lambda alpha: pair(alpha).reduced("skew-irr-reduced")
+
+    case_3_alphas, kk, case_2, case_3 = _skew_clauses(n)
+    facts = None  # (multiplicity-free, case-2 twist, case-3 twist)
+
+    def side(alpha: Partition) -> MfVerdict:
+        nonlocal facts
+        is_case_3 = alpha in case_3_alphas
+        # every clause below needs alpha linear, a rectangle or case-3 shaped
+        # (a linear alpha is a rectangle); expand the skew shape only then
+        if not (is_rectangle(alpha) or is_case_3):
+            return MF_NO
+        if facts is None:
+            chi = skew_expand(norm.basic)
+            facts = chi.is_multiplicity_free(), _twist_tag(chi, case_2), _twist_tag(chi, case_3)
+        mf, twist_2, twist_3 = facts
+        if mf and is_linear(alpha):
+            return MfVerdict(True, "skew-irr-case-1")
+        if is_rectangle(alpha) and not is_linear(alpha) and twist_2 is not None:
+            return MfVerdict(True, "skew-irr-case-2", twist_2)
+        if is_case_3 and twist_3 is not None:
+            conj = () if alpha == kk else ("conjugate-irr",)
+            return MfVerdict(True, "skew-irr-case-3", twist_3 + conj)
+        return MF_NO
+
+    return side
+
+
 def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     """Is [s].[alpha] multiplicity-free?  Clause tests compare expansions.
 
+    Exactly the size check and then ``_skew_side(s, n)(alpha)``.
     Case 2 asks alpha to be a non-linear rectangle, which its conjugate
     is too, so only the skew side carries a tag there.  Case 3 asks
     alpha to be (k,k), tagged "conjugate-irr" when its conjugate (2^k)
@@ -192,32 +304,7 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     n = alpha.n
     if s.size != n:
         raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {n}")
-    norm = skew_normalize(s)
-    basic = norm.basic
-    if basic.size == 0:
-        return MfVerdict(True, "skew-irr-empty")
-    if norm.label is not None:
-        return is_mf_pair(norm.label, alpha).reduced("skew-irr-reduced")
-
-    case_3_alphas, kk, case_2, case_3_target = _skew_clauses(n)
-    case_3 = alpha in case_3_alphas
-    # every clause below needs alpha linear, a rectangle or case-3 shaped
-    # (a linear alpha is a rectangle); expand the skew shape only then
-    if not (is_rectangle(alpha) or case_3):
-        return MF_NO
-    chi = skew_expand(basic)
-    if chi.is_multiplicity_free() and is_linear(alpha):
-        return MfVerdict(True, "skew-irr-case-1")
-    if is_rectangle(alpha) and not is_linear(alpha):
-        twist = _twist_tag(chi, case_2)
-        if twist is not None:
-            return MfVerdict(True, "skew-irr-case-2", twist)
-    if case_3:
-        twist = _twist_tag(chi, case_3_target)
-        if twist is not None:
-            conj = () if alpha == kk else ("conjugate-irr",)
-            return MfVerdict(True, "skew-irr-case-3", twist + conj)
-    return MF_NO
+    return _skew_side(s, n)(alpha)
 
 
 def product_with_natural(mu: Partition) -> CharacterExpansion:

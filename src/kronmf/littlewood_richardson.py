@@ -32,6 +32,20 @@ from .verdict import MF_NO, MfVerdict
 
 
 @cache
+def _content(parts: tuple[int, ...]) -> Partition:
+    """The one ``Partition`` of an LR content, shared by every tally.
+
+    Each distinct tuple is built once, unchecked (``_lr_counts`` argues
+    that a content is a partition), and every later tally holding the
+    same content reads that object.  Sound: a Partition is an immutable
+    tuple, so sharing one changes no value, hash or order; only the
+    number of objects the memoised tallies hold drops, to one per
+    distinct content.
+    """
+    return _unchecked(parts)
+
+
+@cache
 def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
     """Tally LR tableau contents over all fillings of outer/inner.
 
@@ -46,8 +60,10 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
     placed only while counts[v - 1] > counts[v], so the nonzero counts
     are weakly decreasing and each content is built unchecked.  A
     filling is tallied under the counts array itself, copied in C; each
-    distinct array has one content, built once at the end, so the
-    contents keep the order in which they were first met.
+    distinct array has one content, read at the end through the
+    ``_content`` interner, so the contents keep the order in which they
+    were first met, and equal contents of different tallies are one
+    object.
 
     counts has len(outer) + 2 entries: value v, at most its row number,
     is counted at index v, index 0 is unused, and the last entry is never
@@ -94,7 +110,7 @@ def _lr_counts(outer: Partition, inner: Partition) -> dict[Partition, int]:
             k -= 1
             v = values[k]
         else:
-            return {_unchecked(key[1 : key.index(0, 1)]): m for key, m in tally.items()}
+            return {_content(key[1 : key.index(0, 1)]): m for key, m in tally.items()}
         counts[v] -= 1
         v += 1
 

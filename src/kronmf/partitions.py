@@ -519,8 +519,10 @@ def skew_normalize(s: SkewShape) -> SkewNormalForm:
     basic shape is its own basic form, the same object.  These and the
     rotation are built from row spans without the checks of
     ``SkewShape``, as the docstrings of ``_basic_and_components`` and
-    ``rotate_skew`` argue row by row.  Bounded: a sweep asks about one
-    shape for every alpha in a row.
+    ``rotate_skew`` argue row by row.  Bounded: the skew sweep reads each
+    shape's form three times in a row, in ``is_mf_skew``,
+    ``is_proper_skew`` and the skew-times-irreducible side it builds per
+    shape, and only those repeats need the memo.
     """
     basic, comps = _basic_and_components(s)
     rotated = rotate_skew(basic)

@@ -9,6 +9,14 @@ One loop, ``_report``, counts the checks and sorts the mismatches, so
 every mode returns a deterministic report the same way.  The sweeps
 keep no clock; the CLI times a whole run.
 
+The sweeps read the pair, triple and skew-times-irreducible predicates
+through their private sides (``classification._pair_side``,
+``_triple_side``, ``_skew_side``): one side per lambda, per (lambda, mu)
+or per shape, asked about every operand of its row.  Each public
+predicate is exactly its degree or size check and its side, so the
+sweeps check what ``classify`` answers, and read the facts about a
+row's fixed operands once per row.
+
 Under the oracle the triple and skew sweeps expand no product: a
 character is its list of values on the classes (a table row, or one sum
 of rows per distinct skew character), and one packed sum,
@@ -32,18 +40,17 @@ with a cache or without one.
 from __future__ import annotations
 
 from functools import partial
-from itertools import starmap
-from operator import add, mul
+from itertools import groupby, starmap
+from operator import add, itemgetter, mul
 
 from .cache import ProductCache
 from .characters import character_table, is_mf_class_function, mf_row
-from .classification import is_mf_pair, is_mf_skew_times_irr, is_mf_triple
+from .classification import _pair_side, _skew_side, _triple_side
 from .expansion import CharacterExpansion
 from .kronecker import _resolve_engine, kron_product, kron_row, multiply_expansions
 from .littlewood_richardson import is_mf_skew, skew_expand
 from .partitions import (
     Partition,
-    SkewShape,
     enumerate_basic_skew_shapes,
     enumerate_partitions,
     is_proper_skew,
@@ -160,10 +167,18 @@ def _products(n: int, engine: str, cache: ProductCache | None = None):
 
 
 def verify_pairs(n: int, engine: str = "auto", cache: ProductCache | None = None) -> VerificationReport:
-    """Pair classification: is_mf_pair iff the computed product has max mult 1."""
-    products = _products(n, engine, cache)
-    rows = (_mf_row(is_mf_pair(lam, mu), chi.max_multiplicity() == 1, lam, mu) for lam, mu, chi in products)
-    return _report(n, "pairs", engine, rows)
+    """Pair classification: is_mf_pair iff the computed product has max mult 1.
+
+    The predicate is read through one ``_pair_side`` per lam, which the
+    products come grouped by."""
+
+    def rows():
+        for lam, row in groupby(_products(n, engine, cache), key=itemgetter(0)):
+            side = _pair_side(lam, n)
+            for _, mu, chi in row:
+                yield _mf_row(side(mu), chi.max_multiplicity() == 1, lam, mu)
+
+    return _report(n, "pairs", engine, rows())
 
 
 def _character_ring(n: int, engine: str):
@@ -213,9 +228,10 @@ def _triple_rows(n: int, engine: str):
     irr = [lift(CharacterExpansion.irreducible(p)) for p in parts]
     for i, lam in enumerate(parts):
         for j, mu in enumerate(parts[i:], start=i):
-            # one row per (lam, mu), read from mu on
+            # one row per (lam, mu), read from mu on, and one predicate side
+            side = _triple_side(lam, mu, n)
             for nu, computed in zip(parts[j:], row(times(irr[i], irr[j]), j)):
-                yield _mf_row(is_mf_triple(lam, mu, nu), computed, lam, mu, nu)
+                yield _mf_row(side(nu), computed, lam, mu, nu)
 
 
 def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
@@ -226,33 +242,31 @@ def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
 def _skew_rows(n: int, engine: str):
     alphas = enumerate_partitions(n)
     lift, times, mf, row = _character_ring(n, engine)
-    # each distinct character's lifted form and its row, the first time
-    # a shape has it; a proper character's first shape
-    rows: dict[CharacterExpansion, tuple[object, list[bool]]] = {}
-    proper: dict[CharacterExpansion, SkewShape] = {}
+    # each distinct character's lifted form, its row and its first proper
+    # shape, or None, from the first shape that has it; setdefault hashes
+    # a shape's character, which builds the expansion's frozenset, once
+    rows: dict[CharacterExpansion, list] = {}
     n_proper = 0
     for s in enumerate_basic_skew_shapes(n):
         chi = skew_expand(s)
         yield _mf_row(is_mf_skew(s), chi.is_multiplicity_free(), s, "-")
-        entry = rows.get(chi)
-        if entry is None:
+        entry = rows.setdefault(chi, [])
+        if not entry:
             lifted = lift(chi)
-            entry = rows[chi] = lifted, list(row(lifted))
+            entry += lifted, list(row(lifted)), None
         if is_proper_skew(s):
             n_proper += 1
-            proper.setdefault(chi, s)
+            if entry[2] is None:
+                entry[2] = s
+        side = _skew_side(s, n)
         for alpha, computed in zip(alphas, entry[1]):
-            yield _mf_row(is_mf_skew_times_irr(s, alpha), computed, s, alpha)
+            yield _mf_row(side(alpha), computed, s, alpha)
 
     # a product of two proper characters is not linear in an irreducible,
     # so no row answers it
-    mf_proper = [
-        (proper[chi], rows[chi][0])
-        for chi in sorted(
-            (chi for chi in proper if chi.is_multiplicity_free()),
-            key=lambda c: sorted(c.terms().items(), reverse=True),
-        )
-    ]
+    proper = [(chi, entry) for chi, entry in rows.items() if entry[2] is not None and chi.is_multiplicity_free()]
+    proper.sort(key=lambda item: sorted(item[0].terms().items(), reverse=True))
+    mf_proper = [(s, lifted) for _, (lifted, _, s) in proper]
     for i, (s, x) in enumerate(mf_proper):
         for t, y in mf_proper[i:]:
             yield _mf_row(False, mf(times(x, y)), s, t)

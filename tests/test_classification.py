@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -6,6 +7,9 @@ from kronmf.characters import kron_oracle, kron_product_oracle
 from kronmf.classification import (
     KK_N33_SMALL_EXCEPTIONS,
     _face,
+    _pair_side,
+    _skew_side,
+    _triple_side,
     is_mf_pair,
     is_mf_skew_times_irr,
     is_mf_triple,
@@ -186,9 +190,28 @@ class TestIsMfPair:
         monkeypatch.setattr(classification, "conjugate", refuse)
         monkeypatch.setattr(partitions, "conjugate", refuse)
         assert [is_mf_pair(lam, mu) for lam, mu in small + huge] == expected
+        # nor does a side built once per lam and asked about each mu
+        sides = {}
+        for lam, _ in small + huge:
+            if lam not in sides:
+                sides[lam] = _pair_side(lam, lam.n)
+        assert [sides[lam](mu) for lam, mu in small + huge] == expected
 
 
 class TestIsMfTriple:
+    def test_degree_zero_rejected_with_the_pair(self):
+        # the pair and triple predicates, and so their sides, start at
+        # degree 1; a skew shape of size 0 has its own clause
+        for ask in (
+            lambda: is_mf_pair(P(), P()),
+            lambda: is_mf_triple(P(), P(), P()),
+            lambda: _pair_side(P(), 0),
+            lambda: _triple_side(P(), P(), 0),
+        ):
+            with pytest.raises(ValueError, match="degree must be at least 1"):
+                ask()
+        assert is_mf_skew_times_irr(SkewShape((), ()), P()).clause == "skew-irr-empty"
+
     def test_all_nonlinear_is_never_mf(self):
         assert not is_mf_triple(P(3, 1), P(2, 2), P(2, 1, 1))
 
@@ -254,7 +277,23 @@ class TestIsMfSkewTimesIrr:
             classification, "skew_expand", lambda s: calls.append(s) or skew_expand(s)
         )
         assert verify_skew(6).ok
-        assert len(calls) <= 1016
+        # the sweep asks one side per shape, which expands at most once:
+        # each of the 254 proper shapes meets the rectangle (6)
+        assert len(calls) == 254
+
+        # a side expands at the first alpha a clause reads, and only then
+        for n in range(7):
+            alphas = enumerate_partitions(n)
+            unread = [a for a in alphas if not is_rectangle(a) and a not in (P(n // 2, n // 2), P(*(2,) * (n // 2)))]
+            for s in enumerate_basic_skew_shapes(n):
+                calls.clear()
+                side = _skew_side(s, n)
+                for alpha in unread:
+                    side(alpha)
+                assert not calls, s
+                for alpha in alphas:
+                    side(alpha)
+                assert len(calls) <= 1, s
 
 
 def _pair_verdicts():
@@ -302,6 +341,82 @@ def test_verdict_digest_frozen(verdicts, count, digest):
     for v in verdicts():
         h.update(repr((v.clause, v.normalization)).encode() + b"\n")
         seen += 1
+    assert seen == count
+    assert h.hexdigest() == digest
+
+
+def _pad(bar, n):
+    return P(n - bar.n, *bar)
+
+
+def _pair_rows():
+    for n in range(1, 13):
+        parts = enumerate_partitions(n)
+        for lam in parts:
+            yield partial(_pair_side, lam, n), parts, partial(is_mf_pair, lam)
+
+
+def _triple_rows():
+    # every ordered triple at n <= 8, then every lam >= mu >= nu at n = 12
+    # in the sweep's rows
+    for n in range(1, 9):
+        parts = enumerate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                yield partial(_triple_side, lam, mu, n), parts, partial(is_mf_triple, lam, mu)
+    parts = enumerate_partitions(12)
+    for i, lam in enumerate(parts):
+        for j in range(i, len(parts)):
+            yield partial(_triple_side, lam, parts[j], 12), parts[j:], partial(is_mf_triple, lam, parts[j])
+
+
+def _skew_rows():
+    for n in range(9):
+        alphas = enumerate_partitions(n)
+        for s in enumerate_basic_skew_shapes(n):
+            yield partial(_skew_side, s, n), alphas, partial(is_mf_skew_times_irr, s)
+
+
+def _stable_tail_rows():
+    # the tails of ``TestStability``, each pair at N0 and at 10^6: lam's
+    # side asked about mu and about lam itself
+    tails = [p for d in range(6) for p in enumerate_partitions(d)]
+    for i, a in enumerate(tails):
+        for b in tails[i:]:
+            n0 = a.n + b.n + a.width + b.width
+            for n in (n0, 10**6):
+                if n:
+                    lam = _pad(a, n)
+                    yield partial(_pair_side, lam, n), [_pad(b, n), lam], partial(is_mf_pair, lam)
+
+
+@pytest.mark.parametrize(
+    "rows, count, digest",
+    [
+        (_pair_rows, 12647, "bfa37c69c9cdd3334ef03f725e4ea445514884caf28f5f38b4ac9cf3412aa933"),
+        (_triple_rows, 94937, "4399b98cb384a9714ffe3b107e20a8777a56fe18a79c9551df6e92e731d4c629"),
+        (_skew_rows, 75024, "26b1cfcc626dc32bba722a79731d35962957d8cb4608e80bd184a9776a7c98b5"),
+        (_stable_tail_rows, 758, "c0583de4b5d2df52bba4af91f137ca69a376acf4c20bf6648172e150f20f4f3a"),
+    ],
+    ids=["pairs-n-le-12", "triples-n-le-8-and-12", "basic-skew-size-le-8", "stable-tails"],
+)
+def test_side_answers_its_row_as_the_predicate(rows, count, digest):
+    # A public predicate is its degree or size check and then its side
+    # function; a sweep builds one side per fixed operand and asks it
+    # about a whole row.  So a side asked about the row, in order and
+    # (a new one) in reverse, must give the verdict the predicate gives
+    # each operand, whatever it read first.  The digests of the
+    # predicate's (clause, normalization) were taken from the predicates
+    # that derived every fact once per call, before the sides.
+    h = hashlib.sha256()
+    seen = 0
+    for build, operands, predicate in rows():
+        expected = list(map(predicate, operands))
+        assert list(map(build(), operands)) == expected
+        assert list(map(build(), reversed(operands))) == expected[::-1]
+        for v in expected:
+            h.update(repr((v.clause, v.normalization)).encode() + b"\n")
+        seen += len(expected)
     assert seen == count
     assert h.hexdigest() == digest
 

@@ -158,6 +158,18 @@ class TestSkewExpand:
                 checked += 1
         assert checked > 100
 
+    def test_equal_contents_of_different_tallies_are_one_object(self, cold_memos):
+        # every content is read through one interner, so the memoised
+        # tallies hold one Partition per distinct content, and the
+        # interner is a memo the cold start empties
+        first = {}
+        for s in enumerate_basic_skew_shapes(7):
+            for content in _lr_counts(s.outer, s.inner):
+                assert type(content) is Partition
+                assert first.setdefault(content, content) is content, s
+        assert len(first) == len(enumerate_partitions(7))
+        assert cold_memos["littlewood_richardson._content"].cache_info().currsize == len(first)
+
 
 class TestOuterProduct:
     def test_pieri_row(self):

@@ -43,6 +43,12 @@ def flipped(predicate):
     return lying
 
 
+def flipped_side(side):
+    """A side builder whose every verdict function is ``flipped``: the
+    sweeps read a predicate through one side per fixed operand."""
+    return lambda *fixed: flipped(side(*fixed))
+
+
 def bump_dvir(kron_product):
     """kron_product with one constituent of every Dvir product raised by 1."""
 
@@ -186,7 +192,7 @@ class TestReports:
         assert report.ok
 
     def test_mismatch_population_and_ordering(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "is_mf_pair", flipped(verify_mod.is_mf_pair))
+        monkeypatch.setattr(verify_mod, "_pair_side", flipped_side(verify_mod._pair_side))
         report = verify_pairs(3)
         assert not report.ok
         assert len(report.mismatches) == report.pairs_checked == 6
@@ -196,7 +202,7 @@ class TestReports:
         assert len(blob["mismatches"]) == 6
 
     def test_cli_exit_1_on_mismatch(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify_mod, "is_mf_pair", lambda lam, mu: False)
+        monkeypatch.setattr(verify_mod, "_pair_side", lambda lam, n: lambda mu: False)
         code = main(["verify", "2", "--mode", "pairs"])
         out = capsys.readouterr()
         assert code == 1
@@ -253,21 +259,24 @@ class TestReports:
         assert verify_mod._report(4, "skew", "auto", iter([0])).pairs_checked == 0
         assert verify_mod._report(4, "skew", "auto", iter([])).pairs_checked == 0
 
-    # Each case makes one mode report mismatches: a flipped predicate, a
-    # Dvir product with one constituent raised, or a multiplicity-free
-    # verdict on every product (the skew sweep's skew-times-irreducible
-    # rows, which the oracle reads from one packed row per character, and
-    # its proper-times-proper rows, which it decides from class sums).  The rows, their order and both renderings were taken from
-    # the per-mode report loops that came before the shared one, when the
-    # skew-products case replaced every expansion product instead.
+    # Each case makes one mode report mismatches: a flipped predicate (the
+    # pair, triple and skew-times-irreducible ones flipped in the side a
+    # sweep builds per fixed operand), a Dvir product with one constituent
+    # raised, or a multiplicity-free verdict on every product (the skew
+    # sweep's skew-times-irreducible rows, which the oracle reads from one
+    # packed row per character, and its proper-times-proper rows, which it
+    # decides from class sums).  The rows, their order and both renderings
+    # were taken from the per-mode report loops that came before the
+    # shared one, when the skew-products case replaced every expansion
+    # product instead.
     @pytest.mark.parametrize(
         "mode, n, patches, rows, digest",
         [
-            ("pairs", 5, {"is_mf_pair": flipped}, 28,
+            ("pairs", 5, {"_pair_side": flipped_side}, 28,
              "a60220100ba241d8d27696e2bdb04271a37b05aefd42672f266ff91e24810bfc"),
-            ("triples", 4, {"is_mf_triple": flipped}, 35,
+            ("triples", 4, {"_triple_side": flipped_side}, 35,
              "0ab9b3d734f7d46c1f3e1434ede347c151b03d3d40cff8031fc7ad650873edbe"),
-            ("skew", 4, {"is_mf_skew": flipped, "is_mf_skew_times_irr": flipped}, 168,
+            ("skew", 4, {"is_mf_skew": flipped, "_skew_side": flipped_side}, 168,
              "5995e04d9f31b5a63b25667da66bc47cc747e1d02dcd7f5e4ac8d726098c1db4"),
             ("skew", 5, {"is_mf_class_function": lambda real: always_mf_values,
                          "mf_row": lambda real: always_mf_row}, 595,
@@ -411,3 +420,15 @@ def test_verify_stdout_digest_frozen_at_the_ceilings(capsys):
         h.update(f"engines 10 {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
     assert h.hexdigest() == "1748b9ebed81d2c6d10a6c70947c9e84eeaf64731ba7a5987cc40887d5280925"
 
+
+
+def test_verify_stdout_digest_frozen_above_the_ceilings(capsys):
+    # the two sweeps that read a predicate through one side per fixed
+    # operand, above their ceilings under the oracle, both formats; taken
+    # from the sweeps that called the public predicate for every check
+    h = hashlib.sha256()
+    for mode, n in (("skew", 8), ("triples", 10)):
+        for fmt in ("text", "json"):
+            code = main(["verify", str(n), "--mode", mode, "--engine", "oracle", "--format", fmt, "--force"])
+            h.update(f"{mode} {n} {fmt} exit={code}\n".encode() + capsys.readouterr().out.encode())
+    assert h.hexdigest() == "0f1777ec4c424e0651cfb522e25e00ab7595a460a4bc4cb1eb494ac46f20125c"
