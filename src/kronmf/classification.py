@@ -16,8 +16,8 @@ predicate builds no conjugate: it reads each operand's face
 Each predicate states every clause once and derives each fact about an
 operand once per operand, not once per check.  Behind each public
 predicate sits one private side function, ``_pair_side(lam, n)``,
-``_triple_side(lam, mu, n)`` or ``_skew_side(s, n)``: it reads the fixed
-operands once and returns the verdict function of the last operand.
+``_triple_side(lam, mu, n)`` or ``_skew_side(form, n)``: it reads the
+fixed operands once and returns the verdict function of the last one.
 The public predicate is exactly its degree or size check followed by
 its side applied to the last operand.  So a sweep that builds one side
 per row and asks it about every operand of the row checks the very
@@ -26,12 +26,12 @@ tags and normalizations.  The pair and skew predicates build their
 clause constants once per degree.  The pair side reads lam's two faces
 and its anchor test once.  The triple side tests lam and mu for
 linearity once, and reads the two-nonlinear pair verdict at the first
-linear nu.  The skew side reads the basic shape and its partition label
-from ``skew_normalize`` once, and defers to the label's pair side when
-there is a label; otherwise it expands the shape at the first alpha a
-clause reads, and compares that one expansion with the closed forms and
-their sign twists once.  No side is memoised: it lives as long as its
-caller keeps it, one row in the sweeps.
+linear nu.  The skew side takes the shape's normal form, which the
+sweep reads once per shape and hands on, and defers to the label's pair
+side when there is a label; otherwise it expands the shape at the first
+alpha a clause reads, and compares that one expansion with the closed
+forms and their sign twists once.  Neither a side nor a form is
+memoised: each lives as long as its caller keeps it, one row.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .expansion import CharacterExpansion
 from .littlewood_richardson import skew_expand
 from .partitions import (
     Partition,
+    SkewNormalForm,
     SkewShape,
     _face,
     add_node,
@@ -247,19 +248,17 @@ def _skew_clauses(n: int) -> tuple:
 _SKEW_EMPTY = MfVerdict(True, "skew-irr-empty")
 
 
-def _skew_side(s: SkewShape, n: int):
-    """``is_mf_skew_times_irr(s, .)`` on partitions of n = |s|, s read once.
+def _skew_side(norm: SkewNormalForm, n: int):
+    """``is_mf_skew_times_irr(s, .)`` on partitions of n = |s|, norm = s's form.
 
-    Returns the verdict function of alpha.  ``skew_normalize`` is read
-    here, once per shape: an empty shape answers every alpha, and a
-    shape with a partition label hands alpha to the label's pair side.
-    A proper shape is expanded at the first alpha that a clause reads,
-    and then asked once whether it is multiplicity-free and once, by
-    ``_twist_tag``, whether it is the case-2 or the case-3 closed form
-    up to a sign twist; every later alpha reads those three facts.  The
-    skew sweep builds one side per shape.
+    Returns the verdict function of alpha.  An empty shape answers every
+    alpha, and a shape with a partition label hands alpha to the label's
+    pair side.  A proper shape is expanded at the first alpha that a
+    clause reads, and then asked once whether it is multiplicity-free
+    and once, by ``_twist_tag``, whether it is the case-2 or the case-3
+    closed form up to a sign twist; every later alpha reads those three
+    facts.  The skew sweep builds one side per shape.
     """
-    norm = skew_normalize(s)
     if norm.basic.size == 0:
         return lambda alpha: _SKEW_EMPTY
     if norm.label is not None:
@@ -295,7 +294,7 @@ def _skew_side(s: SkewShape, n: int):
 def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     """Is [s].[alpha] multiplicity-free?  Clause tests compare expansions.
 
-    Exactly the size check and then ``_skew_side(s, n)(alpha)``.
+    Exactly the size check and then ``_skew_side(skew_normalize(s), n)(alpha)``.
     Case 2 asks alpha to be a non-linear rectangle, which its conjugate
     is too, so only the skew side carries a tag there.  Case 3 asks
     alpha to be (k,k), tagged "conjugate-irr" when its conjugate (2^k)
@@ -304,7 +303,7 @@ def is_mf_skew_times_irr(s: SkewShape, alpha: Partition) -> MfVerdict:
     n = alpha.n
     if s.size != n:
         raise ValueError(f"size mismatch: |s| = {s.size} vs |alpha| = {n}")
-    return _skew_side(s, n)(alpha)
+    return _skew_side(skew_normalize(s), n)(alpha)
 
 
 def product_with_natural(mu: Partition) -> CharacterExpansion:

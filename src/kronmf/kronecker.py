@@ -261,11 +261,14 @@ def g_dvir(lam: Partition, mu: Partition, nu: Partition) -> int:
     (see ``_dvir_product``) the coefficient is 0 and nothing is swept.
 
     Nothing is kept between calls (its sub-products are, through
-    ``_dvir_product``): at n = 12 one full sweep costs about 100 times a
-    top-width coefficient, so a single coefficient does not sweep the
-    whole product.  Asking every nu of one pair this way sweeps the
-    bands again per call; a caller that needs every coefficient of a
-    pair uses ``kron_product``, which sweeps once.
+    ``_dvir_product``), and a single coefficient does not sweep the
+    whole product.  On ten random pairs per degree (seed 1, cold memos,
+    nu_1 = |lam ^ mu|; one core of a 2-vCPU Xeon VM, CPython 3.11), the
+    full products took about 15 times as long as the top-width
+    coefficients at n = 12, 4 times at n = 16 and 2 times at n = 20.
+    Asking every nu of one pair this way sweeps the bands again per
+    call; a caller that needs every coefficient of a pair uses
+    ``kron_product``, which sweeps once.
     """
     n = same_degree(lam.n, mu.n, nu.n)
     lam, mu, flip = _orient(lam, mu)

@@ -17,7 +17,9 @@ from .expansion import CharacterExpansion, bilinear
 from .partitions import (
     EMPTY,
     Partition,
+    SkewNormalForm,
     SkewShape,
+    _basic_label,
     _unchecked,
     is_fat_hook,
     is_linear,
@@ -221,7 +223,11 @@ def path_profile(s: SkewShape) -> PathProfile:
 
 def is_mf_skew(s: SkewShape) -> MfVerdict:
     """Gutschwager's classification of multiplicity-free skew characters."""
-    norm = skew_normalize(s)
+    return _mf_skew_form(skew_normalize(s))
+
+
+def _mf_skew_form(norm: SkewNormalForm) -> MfVerdict:
+    """``is_mf_skew`` of the shape with normal form norm; basic components need only the label rule."""
     basic = norm.basic
     if basic.size == 0:
         return MfVerdict(True, "skew-empty")
@@ -232,10 +238,8 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
     if len(comps) > 2:
         return MF_NO
     if len(comps) == 2:
-        parts = [skew_normalize(c).label for c in comps]
-        if any(p is None for p in parts):
-            return MF_NO
-        return is_mf_outer(*parts).reduced("skew-two-components")
+        parts = [_basic_label(c)[1] for c in comps]
+        return MF_NO if None in parts else is_mf_outer(*parts).reduced("skew-two-components")
 
     # the rotation of a basic shape is basic, so both rims are read
     # directly, without ``path_profile``'s check

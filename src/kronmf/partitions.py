@@ -4,8 +4,10 @@ Everything downstream (characters, Littlewood-Richardson expansions, the
 Kronecker engines) consumes the types defined here.  All values are
 immutable and hashable, so they can be used as memo keys and shared
 freely between threads.  Skew shapes are read as row spans: one walk
-over the rows gives a shape's basic form and its components, and the
-basic shapes of a size are listed from their row lengths and offsets.
+over the rows gives a shape's normal form, its basic form and its
+components, kept by no memo: the skew sweep normalises each shape once
+and hands the form on.  The basic shapes of a size are listed from
+their row lengths and offsets.
 It also owns the text grammar (integers, partitions, CSV fields), the
 one degree check (``same_degree``) and, in ``_face``, the test of a
 small shape up to conjugation.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import accumulate, chain, compress, groupby, product, repeat
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
@@ -390,7 +391,8 @@ def split_rows(p: Partition, index_set: Iterable[int]) -> tuple[Partition, Parti
 class SkewShape:
     """A nested pair of partitions outer/inner, inner padded with zeros.
 
-    ``size``, the number of cells, is set once at construction.
+    ``size``, the number of cells, is set once at construction; no field
+    can be assigned, so the size and the hash stay those of the fields.
     """
 
     __slots__ = ("outer", "inner", "size")
@@ -402,9 +404,12 @@ class SkewShape:
             raise ValueError(
                 f"inner {format_partition(inner)!r} not contained in outer {format_partition(outer)!r}"
             )
-        self.outer = outer
-        self.inner = inner
-        self.size = outer.n - inner.n
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "size", outer.n - inner.n)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SkewShape")
 
     def row_spans(self) -> list[tuple[int, int]]:
         """Per row: half-open column span (start, end) of the cells."""
@@ -435,9 +440,9 @@ def _unchecked_skew(outer: list[int], inner: list[int]) -> SkewShape:
     part has a zero inner part beside it, so the rows stay aligned.
     """
     s = object.__new__(SkewShape)
-    s.outer = _unchecked(outer[: len(outer) - outer.count(0)])
-    s.inner = _unchecked(inner[: len(inner) - inner.count(0)])
-    s.size = sum(outer) - sum(inner)
+    object.__setattr__(s, "outer", _unchecked(outer[: len(outer) - outer.count(0)]))
+    object.__setattr__(s, "inner", _unchecked(inner[: len(inner) - inner.count(0)]))
+    object.__setattr__(s, "size", sum(outer) - sum(inner))
     return s
 
 
@@ -511,24 +516,24 @@ def rotate_skew(s: SkewShape) -> SkewShape:
     return _unchecked_skew([w - a for a, b in spans], [w - b for a, b in spans])
 
 
-@lru_cache(maxsize=256)
+def _basic_label(basic: SkewShape) -> tuple[bool, Partition | None]:
+    """``rotated_equal`` and ``label`` of a basic shape, as in ``SkewNormalForm``:
+    the one label rule, for the basic form and for basic components."""
+    rotated = rotate_skew(basic)
+    rotated_equal = rotated.inner == EMPTY
+    return rotated_equal, basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
+
+
 def skew_normalize(s: SkewShape) -> SkewNormalForm:
     """The one normal form of a skew shape; every caller reads it here.
 
-    One walk over the rows gives the basic form and its components; a
-    basic shape is its own basic form, the same object.  These and the
-    rotation are built from row spans without the checks of
-    ``SkewShape``, as the docstrings of ``_basic_and_components`` and
-    ``rotate_skew`` argue row by row.  Bounded: the skew sweep reads each
-    shape's form three times in a row, in ``is_mf_skew``,
-    ``is_proper_skew`` and the skew-times-irreducible side it builds per
-    shape, and only those repeats need the memo.
+    One walk over the rows gives the basic form (a basic shape is its
+    own, the same object) and its components.  These and the rotation
+    are built from row spans without the checks of ``SkewShape``, as
+    ``_basic_and_components`` and ``rotate_skew`` argue row by row.
     """
     basic, comps = _basic_and_components(s)
-    rotated = rotate_skew(basic)
-    rotated_equal = rotated.inner == EMPTY
-    label = basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
-    return SkewNormalForm(basic, tuple(comps), rotated_equal, label)
+    return SkewNormalForm(basic, tuple(comps), *_basic_label(basic))
 
 
 def is_proper_skew(s: SkewShape) -> bool:

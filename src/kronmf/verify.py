@@ -15,7 +15,9 @@ through their private sides (``classification._pair_side``,
 or per shape, asked about every operand of its row.  Each public
 predicate is exactly its degree or size check and its side, so the
 sweeps check what ``classify`` answers, and read the facts about a
-row's fixed operands once per row.
+row's fixed operands once per row.  The skew sweep normalises each
+shape once and hands the form to ``is_mf_skew``'s form check
+(``littlewood_richardson._mf_skew_form``), the properness test and the side.
 
 Under the oracle the triple and skew sweeps expand no product: a
 character is its list of values on the classes (a table row, or one sum
@@ -48,13 +50,8 @@ from .characters import character_table, is_mf_class_function, mf_row
 from .classification import _pair_side, _skew_side, _triple_side
 from .expansion import CharacterExpansion
 from .kronecker import _resolve_engine, kron_product, kron_row, multiply_expansions
-from .littlewood_richardson import is_mf_skew, skew_expand
-from .partitions import (
-    Partition,
-    enumerate_basic_skew_shapes,
-    enumerate_partitions,
-    is_proper_skew,
-)
+from .littlewood_richardson import _mf_skew_form, skew_expand
+from .partitions import Partition, enumerate_basic_skew_shapes, enumerate_partitions, skew_normalize
 
 DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 10}
 
@@ -248,17 +245,18 @@ def _skew_rows(n: int, engine: str):
     rows: dict[CharacterExpansion, list] = {}
     n_proper = 0
     for s in enumerate_basic_skew_shapes(n):
+        form = skew_normalize(s)
         chi = skew_expand(s)
-        yield _mf_row(is_mf_skew(s), chi.is_multiplicity_free(), s, "-")
+        yield _mf_row(_mf_skew_form(form), chi.is_multiplicity_free(), s, "-")
         entry = rows.setdefault(chi, [])
         if not entry:
             lifted = lift(chi)
             entry += lifted, list(row(lifted)), None
-        if is_proper_skew(s):
+        if form.label is None:
             n_proper += 1
             if entry[2] is None:
                 entry[2] = s
-        side = _skew_side(s, n)
+        side = _skew_side(form, n)
         for alpha, computed in zip(alphas, entry[1]):
             yield _mf_row(side(alpha), computed, s, alpha)
 

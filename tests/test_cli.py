@@ -521,12 +521,18 @@ def test_huge_partition_is_one_line_exit_2(operands):
     # MemoryError instead of exhausting the machine
     import resource
 
-    limit = 1_500_000_000
+    def cap_address_space():
+        # only the soft limit, and never above a hard limit the parent
+        # holds: an unprivileged process cannot raise its hard limit
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 1_500_000_000 if hard == resource.RLIM_INFINITY else min(1_500_000_000, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
     res = subprocess.run(
         [sys.executable, "-m", "kronmf", "classify", *operands],
         capture_output=True,
         text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        preexec_fn=cap_address_space,
     )
     assert res.returncode == 2
     assert res.stdout == ""

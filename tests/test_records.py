@@ -6,7 +6,7 @@ from kronmf.characters import CharacterTable, character_table
 from kronmf.classification import SquareLowDepth
 from kronmf.kronecker import SemigroupBound, SemigroupWitness
 from kronmf.littlewood_richardson import PathProfile
-from kronmf.partitions import Partition, ShapeClass, SkewNormalForm, SkewShape
+from kronmf.partitions import Partition, ShapeClass, SkewNormalForm, SkewShape, rotate_skew, skew_normalize
 from kronmf.verdict import MF_NO, MfVerdict
 from kronmf.verify import VerificationReport
 
@@ -23,6 +23,7 @@ def _table_fields(n):
 # (class, keyword arguments, the same with one field changed)
 FROZEN = [
     (ShapeClass, dict(tag="hook", qualifiers=frozenset({"proper-hook"})), dict(tag="hook", qualifiers=frozenset())),
+    (SkewShape, dict(outer=P(3, 2), inner=P(1)), dict(outer=P(3, 2), inner=P(2))),
     (
         SkewNormalForm,
         dict(basic=SkewShape(P(2, 1), P(1)), components=(SkewShape(P(1)),) * 2, rotated_equal=False, label=None),
@@ -66,6 +67,16 @@ def test_frozen_record_equality_hash_and_immutability(cls, kwargs, other):
         assert getattr(a, name) == value
         with pytest.raises(AttributeError):
             setattr(a, name, value)
+
+
+def test_skew_shape_size_refuses_assignment_on_every_constructor():
+    # the size is derived from the fields, and the shapes built unchecked
+    # (a rotation, a normal form's components) are as immutable
+    s = SkewShape(P(3, 2), P(1))
+    for shape in (s, rotate_skew(s), *skew_normalize(SkewShape(P(3, 1), P(1))).components):
+        with pytest.raises(AttributeError):
+            shape.size = 0
+    assert (str(s), s.size, hash(s)) == ("3,2/1", 4, hash(SkewShape((3, 2), (1,))))
 
 
 def test_character_table_equals_its_rebuilt_copy():

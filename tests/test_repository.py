@@ -55,32 +55,36 @@ def test_classification_imports_no_engine():
     assert not {m for m in imported if m.rsplit(".", 1)[-1] in engines}
 
 
-def _memoised(module):
-    tree = ast.parse((ROOT / "src" / "kronmf" / f"{module}.py").read_text())
-    cached = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else target.id
-                if name in {"cache", "lru_cache"}:
-                    cached.add(node.name)
-    return cached
-
-
-def test_character_kernels_memoised_for_the_process():
-    # only these keep a degree's data for the life of the process, the
+def test_memo_inventory(cold_memos):
+    # every memo that keeps data for the life of the process, by module.
+    # characters: a degree's table, class weights and packed rows, the
     # packed rows of squares one entry per slot width asked for; the
-    # lower-degree rows of the table build stay local to the build
-    assert _memoised("characters") == {"_table", "_packed", "_class_weights", "_mf_packed"}
-
-
-def test_dvir_kernels_memoised_for_the_process():
-    # the recursion keeps only labelled products: a band is read by one
-    # sweep, and a pair's aliases reach its sweep through the product
-    # memo, so a memo on either would never be hit.  A Y(nu) correction
-    # reads the sweep's own coefficients by key, and nothing is held
-    assert _memoised("kronecker") == {"_dvir_product"}
+    # lower-degree rows of the table build stay local to the build.
+    # kronecker: the recursion keeps only labelled products: a band is
+    # read by one sweep, and a pair's aliases reach its sweep through the
+    # product memo, so a memo on either would never be hit.  A Y(nu)
+    # correction reads the sweep's own coefficients by key.
+    # littlewood_richardson: LR tallies and their interned contents.
+    # classification: a degree's clause constants.  partitions and every
+    # other module: none; the skew sweep hands each shape's normal form
+    # on instead of memoising it.
+    found = {}
+    for key in cold_memos:
+        module, name = key.split(".")
+        found.setdefault(module, set()).add(name)
+    assert found == {
+        "characters": {"_table", "_packed", "_class_weights", "_mf_packed"},
+        "kronecker": {"_dvir_product"},
+        "littlewood_richardson": {"_content", "_lr_counts"},
+        "classification": {"_pair_clauses", "_skew_clauses"},
+    }
+    # no memo keeps a guessed size: every one is a plain functools.cache
+    bounded = [
+        path.name
+        for path in sorted((ROOT / "src" / "kronmf").glob("*.py"))
+        if _mentions(ast.parse(path.read_text()), "lru_cache")
+    ]
+    assert bounded == []
 
 
 def _mentions(tree, name):

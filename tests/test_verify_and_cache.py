@@ -250,6 +250,23 @@ class TestReports:
         if n == 6:
             assert (basic, proper, expected) == (272, 254, 35649)
 
+    @pytest.mark.parametrize("engine", ["oracle", "dvir"])
+    def test_skew_sweep_normalises_each_shape_once(self, monkeypatch, engine):
+        # the sweep reads each basic shape's normal form once and hands it
+        # to every check of the shape; none normalises the shape again, nor
+        # any of its components
+        import kronmf.classification as classification_mod
+        import kronmf.littlewood_richardson as lr_mod
+        import kronmf.partitions as partitions_mod
+
+        real, calls = partitions_mod.skew_normalize, []
+        for module in (partitions_mod, lr_mod, classification_mod, verify_mod):
+            monkeypatch.setattr(module, "skew_normalize", lambda s: calls.append(s) or real(s))
+        for n in range(8):
+            calls.clear()
+            assert verify_skew(n, engine).ok
+            assert calls == enumerate_basic_skew_shapes(n), n
+
     def test_report_adds_count_rows_and_sorts_mismatches(self):
         late, early = ("b", "x", "mf", "not-mf"), ("a", "y", "not-mf", "mf")
         rows = [None, late, 5, None, 0, early, 1]
@@ -261,7 +278,8 @@ class TestReports:
 
     # Each case makes one mode report mismatches: a flipped predicate (the
     # pair, triple and skew-times-irreducible ones flipped in the side a
-    # sweep builds per fixed operand), a Dvir product with one constituent
+    # sweep builds per fixed operand, and is_mf_skew in the form check the
+    # skew sweep hands each shape's normal form), a Dvir product with one constituent
     # raised, or a multiplicity-free verdict on every product (the skew
     # sweep's skew-times-irreducible rows, which the oracle reads from one
     # packed row per character, and its proper-times-proper rows, which it
@@ -276,7 +294,7 @@ class TestReports:
              "a60220100ba241d8d27696e2bdb04271a37b05aefd42672f266ff91e24810bfc"),
             ("triples", 4, {"_triple_side": flipped_side}, 35,
              "0ab9b3d734f7d46c1f3e1434ede347c151b03d3d40cff8031fc7ad650873edbe"),
-            ("skew", 4, {"is_mf_skew": flipped, "_skew_side": flipped_side}, 168,
+            ("skew", 4, {"_mf_skew_form": flipped, "_skew_side": flipped_side}, 168,
              "5995e04d9f31b5a63b25667da66bc47cc747e1d02dcd7f5e4ac8d726098c1db4"),
             ("skew", 5, {"is_mf_class_function": lambda real: always_mf_values,
                          "mf_row": lambda real: always_mf_row}, 595,
