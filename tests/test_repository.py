@@ -55,15 +55,38 @@ def test_classification_imports_no_engine():
     assert not {m for m in imported if m.rsplit(".", 1)[-1] in engines}
 
 
+def _memoised(module):
+    tree = ast.parse((ROOT / "src" / "kronmf" / f"{module}.py").read_text())
+    cached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else target.id
+                if name in {"cache", "lru_cache"}:
+                    cached.add(node.name)
+    return cached
+
+
+def test_character_kernels_memoised_for_the_process():
+    # only these keep a degree's data for the life of the process, the
+    # packed rows of squares one entry per slot width asked for; the
+    # lower-degree rows of the table build stay local to the build
+    assert _memoised("characters") == {"_table", "_packed", "_class_weights", "_mf_packed"}
+
+
+def test_dvir_kernels_memoised_for_the_process():
+    # the recursion keeps only labelled products: a band is read by one
+    # sweep, and a pair's aliases reach its sweep through the product
+    # memo, so a memo on either would never be hit.  A Y(nu) correction
+    # reads the sweep's own coefficients by key, and nothing is held
+    assert _memoised("kronecker") == {"_dvir_product"}
+
+
 def test_memo_inventory(cold_memos):
     # every memo that keeps data for the life of the process, by module.
-    # characters: a degree's table, class weights and packed rows, the
-    # packed rows of squares one entry per slot width asked for; the
-    # lower-degree rows of the table build stay local to the build.
-    # kronecker: the recursion keeps only labelled products: a band is
-    # read by one sweep, and a pair's aliases reach its sweep through the
-    # product memo, so a memo on either would never be hit.  A Y(nu)
-    # correction reads the sweep's own coefficients by key.
+    # characters and kronecker: as the two tests above, read here from
+    # the live modules rather than from their source.
     # littlewood_richardson: LR tallies and their interned contents.
     # classification: a degree's clause constants.  partitions and every
     # other module: none; the skew sweep hands each shape's normal form
