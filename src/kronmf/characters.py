@@ -55,7 +55,7 @@ from functools import cache
 from itertools import compress, groupby, repeat
 from math import factorial, isqrt
 from operator import and_, itemgetter, mul, rshift
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .expansion import CharacterExpansion
 from .partitions import (
@@ -166,38 +166,34 @@ def class_size(rho: Partition) -> int:
     return size
 
 
-class CharacterTable:
-    """The exact character table of degree ``degree``, immutable:
-    ``values[i][j]`` is the character of ``rows[i]`` on the class
-    ``cols[j]``, of size ``class_sizes[j]``.  Equality and the hash
-    read the five fields."""
+class _TableFields(NamedTuple):
+    degree: int
+    rows: tuple[Partition, ...]
+    cols: tuple[Partition, ...]
+    values: tuple[tuple[int, ...], ...]
+    class_sizes: tuple[int, ...]
 
-    __slots__ = ("degree", "rows", "cols", "values", "class_sizes", "_index")
 
-    def __init__(
-        self,
-        degree: int,
-        rows: tuple[Partition, ...],
-        cols: tuple[Partition, ...],
-        values: tuple[tuple[int, ...], ...],
-        class_sizes: tuple[int, ...],
-    ) -> None:
+class CharacterTable(_TableFields):
+    """The exact character table of degree ``degree``: ``values[i][j]`` is
+    the character of ``rows[i]`` on the class ``cols[j]``, of size
+    ``class_sizes[j]``.  A tuple record of these five fields, as
+    ``MfVerdict`` is, so equality, hashing, copying, pickling and the
+    fields' immutability come from the tuple.  ``__new__``, and so
+    ``_make`` and ``_replace``, derives the row index that ``row``,
+    ``value`` and ``kron_row_oracle`` read, and keeps it on the instance
+    beside the fields, outside equality and the hash.
+    """
+
+    def __new__(cls, degree, rows, cols, values, class_sizes):
+        self = tuple.__new__(cls, (degree, rows, cols, values, class_sizes))
         # rows and cols are both the partitions of degree, in one order
-        index = {p: i for i, p in enumerate(rows)}
-        for name, value in zip(self.__slots__, (degree, rows, cols, values, class_sizes, index)):
-            object.__setattr__(self, name, value)
+        self._index = {p: i for i, p in enumerate(rows)}
+        return self
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable CharacterTable")
-
-    def _fields(self) -> tuple:
-        return self.degree, self.rows, self.cols, self.values, self.class_sizes
-
-    def __eq__(self, other) -> bool:
-        return type(other) is CharacterTable and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def value(self, lam: Partition, rho: Partition) -> int:
         return self.values[self._index[lam]][self._index[rho]]

@@ -2,12 +2,14 @@
 
 Everything downstream (characters, Littlewood-Richardson expansions, the
 Kronecker engines) consumes the types defined here.  All values are
-immutable and hashable, so they can be used as memo keys and shared
-freely between threads.  Skew shapes are read as row spans: one walk
-over the rows gives a shape's normal form, its basic form and its
-components, kept by no memo: the skew sweep normalises each shape once
-and hands the form on.  The basic shapes of a size are listed from
-their row lengths and offsets.
+tuples, ``Partition`` a tuple subclass and the rest tuple records, so
+the tuple makes them immutable and hashable, copies and pickles them,
+and they can be used as memo keys and shared freely between threads.
+Skew shapes are read as row spans: one walk over the rows gives a
+shape's normal form, its basic form and its components, kept by no
+memo: the skew sweep normalises each shape once and hands the form on.
+The basic shapes of a size are listed from their row lengths and
+offsets.
 It also owns the text grammar (integers, partitions, CSV fields), the
 one degree check (``same_degree``) and, in ``_face``, the test of a
 small shape up to conjugation.
@@ -388,38 +390,38 @@ def split_rows(p: Partition, index_set: Iterable[int]) -> tuple[Partition, Parti
 # --- skew shapes ---
 
 
-class SkewShape:
+class _SkewFields(NamedTuple):
+    outer: Partition
+    inner: Partition
+
+
+class SkewShape(_SkewFields):
     """A nested pair of partitions outer/inner, inner padded with zeros.
 
-    ``size``, the number of cells, is set once at construction; no field
-    can be assigned, so the size and the hash stay those of the fields.
+    A tuple record of its two fields, as ``MfVerdict`` is: equality,
+    hashing, immutability, copying and pickling come from the tuple, and
+    a pickled shape is rebuilt through the checked constructor.
+    ``size``, the number of cells, is read from the fields.
     """
 
-    __slots__ = ("outer", "inner", "size")
+    __slots__ = ()
 
-    def __init__(self, outer, inner=()):
+    def __new__(cls, outer, inner=()):
         outer = outer if isinstance(outer, Partition) else Partition(outer)
         inner = inner if isinstance(inner, Partition) else Partition(inner)
         if not outer.contains(inner):
             raise ValueError(
                 f"inner {format_partition(inner)!r} not contained in outer {format_partition(outer)!r}"
             )
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "size", outer.n - inner.n)
+        return tuple.__new__(cls, (outer, inner))
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable SkewShape")
+    @property
+    def size(self) -> int:
+        return self.outer.n - self.inner.n
 
     def row_spans(self) -> list[tuple[int, int]]:
         """Per row: half-open column span (start, end) of the cells."""
         return list(zip(chain(self.inner, repeat(0)), self.outer))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SkewShape) and self.outer == other.outer and self.inner == other.inner
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
 
     def __str__(self) -> str:
         return format_skew(self)
@@ -439,11 +441,8 @@ def _unchecked_skew(outer: list[int], inner: list[int]) -> SkewShape:
     list are its tail, and are dropped by counting them; a zero outer
     part has a zero inner part beside it, so the rows stay aligned.
     """
-    s = object.__new__(SkewShape)
-    object.__setattr__(s, "outer", _unchecked(outer[: len(outer) - outer.count(0)]))
-    object.__setattr__(s, "inner", _unchecked(inner[: len(inner) - inner.count(0)]))
-    object.__setattr__(s, "size", sum(outer) - sum(inner))
-    return s
+    outer, inner = outer[: len(outer) - outer.count(0)], inner[: len(inner) - inner.count(0)]
+    return tuple.__new__(SkewShape, (_unchecked(outer), _unchecked(inner)))
 
 
 class SkewNormalForm(NamedTuple):
@@ -575,7 +574,7 @@ def enumerate_basic_skew_shapes(size: int) -> list[SkewShape]:
 # --- text grammar ---
 
 # ASCII digits: \d would also match the digits of other scripts
-_TERM_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
+_TERM_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 
 MAX_PARSED_SIZE = 10**6
 
@@ -592,6 +591,8 @@ def parse_integer(text: str) -> int:
 def parse_partition(text: str) -> Partition:
     """Parse the ``a`` / ``a^b`` comma grammar, e.g. ``5,4,2^3,1``.
 
+    Whitespace may surround a term but not split one: ``" 4 , 1 "`` is
+    (4, 1), and ``"1 0"`` or ``"3 ^2"`` is a bad term, not (10) or (3, 3).
     The size, the sum of a * b over the terms, is checked before any term
     is expanded: more than ``MAX_PARSED_SIZE`` (10^6) cells is a
     ``ValueError``.  Expanding ``a^b`` builds a list of length b, and
@@ -599,12 +600,11 @@ def parse_partition(text: str) -> Partition:
     first part, so a few characters could otherwise ask for more memory
     than the machine has.  No engine computes anywhere near the bound.
     """
-    s = re.sub(r"\s+", "", text)
-    if not s:
+    if not text.strip():
         return EMPTY
     terms: list[tuple[int, int]] = []
-    for term in s.split(","):
-        m = _TERM_RE.match(term)
+    for term in map(str.strip, text.split(",")):
+        m = _TERM_RE.fullmatch(term)
         if not m:
             raise ValueError(f"bad partition term {term!r}")
         a = int(m.group(1))

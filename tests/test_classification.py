@@ -52,6 +52,11 @@ def low_depth(n, depths):
     return [P(n - d, *bar) for d in depths for bar in enumerate_partitions(d)]
 
 
+def low_depth_and_conjugates(n, depths):
+    """``low_depth`` and the conjugates of its partitions, descending."""
+    return sorted({q for p in low_depth(n, depths) for q in (p, conjugate(p))}, reverse=True)
+
+
 class TestIsMfPair:
     def test_linear_clause(self):
         v = is_mf_pair(P(6), P(3, 2, 1))
@@ -228,6 +233,22 @@ class TestIsMfTriple:
         assert is_mf_triple(P(4), P(1, 1, 1, 1), P(2, 2))
         assert is_mf_triple(P(4), P(1, 1, 1, 1), P(4))
 
+    def test_matches_dvir_beyond_the_table(self):
+        # every triple lam >= mu >= nu at n = 20 over the 14 operands of
+        # depth <= 3 and their conjugates: 560 triples, each product from
+        # Dvir ([lam].[mu], then times [nu])
+        ops = low_depth_and_conjugates(20, range(4))
+        assert len(ops) == 14
+        verdicts = []
+        for i, lam in enumerate(ops):
+            for j, mu in enumerate(ops[i:], i):
+                pair = kron_product(lam, mu, "dvir")
+                for nu in ops[j:]:
+                    mf = multiply_expansions(pair, CharacterExpansion.irreducible(nu), "dvir").is_multiplicity_free()
+                    assert bool(is_mf_triple(lam, mu, nu)) == mf, (lam, mu, nu)
+                    verdicts.append(mf)
+        assert len(verdicts) == 560 and set(verdicts) == {True, False}
+
 
 class TestIsMfSkewTimesIrr:
     def test_staircase_strip_case(self):
@@ -264,6 +285,23 @@ class TestIsMfSkewTimesIrr:
         assert not v
         product = multiply_expansions(skew_expand(shape), irr(2, 2, 2))
         assert not product.is_multiplicity_free()
+
+    def test_matches_dvir_beyond_the_table(self):
+        # the 119 basic two-row shapes of size 20, rows (d + r, 20 - r)/(d),
+        # each offset d from the least that keeps the outer parts weakly
+        # decreasing to the most that leaves no empty column, times the 14
+        # alpha of depth <= 3 and their conjugates: 1,666 products from Dvir
+        n = 20
+        shapes = [SkewShape((d + r, n - r), (d,)) for r in range(1, n) for d in range(max(0, n - 2 * r), n - r + 1)]
+        assert len(shapes) == 119 and all(skew_normalize(s).basic == s for s in shapes)
+        verdicts = []
+        for s in shapes:
+            chi = skew_expand(s)
+            for alpha in low_depth_and_conjugates(n, range(4)):
+                mf = multiply_expansions(chi, CharacterExpansion.irreducible(alpha), "dvir").is_multiplicity_free()
+                assert bool(is_mf_skew_times_irr(s, alpha)) == mf, (s, alpha)
+                verdicts.append(mf)
+        assert len(verdicts) == 1666 and set(verdicts) == {True, False}
 
     def test_expands_only_for_alphas_a_clause_reads(self, monkeypatch):
         # A timing-free gate: only a rectangular alpha, or (k,k) / (2^k),

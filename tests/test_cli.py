@@ -469,6 +469,9 @@ class TestVerify:
         ("verify", "-1"),
         ("verify", "0"),
         ("verify", "0", "--mode", "skew"),
+        # whitespace inside a term: "1 0" is not 10
+        ("classify", "1 0", "10"),
+        ("classify-skew", "4,3/2 1", "4"),
     ],
 )
 def test_usage_error_is_one_line_exit_2(argv):

@@ -562,11 +562,19 @@ class TestGrammar:
         assert parse_partition("3^3") == P(3, 3, 3)
         assert parse_partition("") == EMPTY
         assert parse_partition(" 4 , 1 ") == P(4, 1)
+        assert parse_partition("\t3^2 ,1\n") == P(3, 3, 1)
+        assert parse_partition(" \t\n") == EMPTY
 
     def test_parse_rejects(self):
         for bad in ("2,3", "0", "a", "3^0", "-1", "3,,1"):
             with pytest.raises(ValueError):
                 parse_partition(bad)
+        # whitespace may surround a term but never joins its digits or its caret
+        for bad in ("1 0", "1\t1", "4, 1 1", "3 ^2", "3^ 2", "2\n^2", "1\n0", "4\n1"):
+            with pytest.raises(ValueError, match="bad partition term"):
+                parse_partition(bad)
+        with pytest.raises(ValueError, match="bad partition term '2 1'"):
+            parse_skew("4,3/2 1")
 
     def test_parse_sizes_before_expanding(self):
         assert parse_partition("1000000").n == MAX_PARSED_SIZE

@@ -1,4 +1,8 @@
-"""The record classes: keyword construction, equality, hashing and immutability."""
+"""The record classes: keyword construction, equality, hashing, immutability,
+copying and pickling."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -69,6 +73,30 @@ def test_frozen_record_equality_hash_and_immutability(cls, kwargs, other):
             setattr(a, name, value)
 
 
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+@pytest.mark.parametrize("cls, kwargs, other", FROZEN, ids=[c[0].__name__ for c in FROZEN])
+def test_frozen_record_copies_and_pickles(cls, kwargs, other, clone):
+    a = cls(**kwargs)
+    b = clone(a)
+    assert type(b) is cls and b == a and hash(b) == hash(a)
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_shapes_built_unchecked_and_tables_copy_and_pickle(clone):
+    # a normal form holds shapes built unchecked, as a rotation is; a
+    # table's copy still finds its rows
+    form = skew_normalize(SkewShape(P(3, 1), P(1)))
+    rotated = rotate_skew(SkewShape(P(3, 2), P(1)))
+    assert len(form.components) == 2
+    for record in (form, rotated):
+        assert clone(record) == record and hash(clone(record)) == hash(record)
+    t = clone(character_table(5))
+    assert t == character_table(5) and t.value(P(4, 1), P(5)) == -1 and t.row(P(5)) == (1,) * 7
+
+
 def test_skew_shape_size_refuses_assignment_on_every_constructor():
     # the size is derived from the fields, and the shapes built unchecked
     # (a rotation, a normal form's components) are as immutable
@@ -83,6 +111,13 @@ def test_character_table_equals_its_rebuilt_copy():
     t = character_table(5)
     assert CharacterTable(**_table_fields(5)) == t
     assert t.value(P(4, 1), P(5)) == -1 and t.row(P(5)) == (1,) * 7
+
+
+def test_character_table_replace_derives_its_row_index():
+    t = character_table(4)
+    u = t._replace(class_sizes=(1,) * 5)
+    assert u != t and u.rows == t.rows and u.row(P(3, 1)) == t.row(P(3, 1))
+    assert CharacterTable._make(t) == t and CharacterTable._make(t).value(P(4), P(2, 2)) == 1
 
 
 def test_verdict_defaults_truth_and_invariants():

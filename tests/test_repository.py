@@ -119,6 +119,24 @@ def _mentions(tree, name):
     )
 
 
+def test_no_record_guards_its_fields_by_hand():
+    # every value type is a tuple record, so its immutability, copying
+    # and pickling come from the tuple: no __setattr__ guard, and no
+    # object.__setattr__ to get round one
+    found = []
+    for path in sorted((ROOT / "src" / "kronmf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.name}: {node.name}.__setattr__"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__setattr__"
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "__setattr__" and ast.unparse(node.value) == "object":
+                found.append(f"{path.name}: object.__setattr__")
+    assert found == []
+
+
 def test_unchecked_partitions_stay_inside_the_engines():
     # partitions and skew shapes that skip validation are built only where
     # they are one by construction; outside input (CLI, cache file, parser)
