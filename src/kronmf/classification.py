@@ -248,16 +248,18 @@ def _skew_clauses(n: int) -> tuple:
 _SKEW_EMPTY = MfVerdict(True, "skew-irr-empty")
 
 
-def _skew_side(norm: SkewNormalForm, n: int):
+def _skew_side(norm: SkewNormalForm, n: int, chi: CharacterExpansion | None = None):
     """``is_mf_skew_times_irr(s, .)`` on partitions of n = |s|, norm = s's form.
 
     Returns the verdict function of alpha.  An empty shape answers every
     alpha, and a shape with a partition label hands alpha to the label's
-    pair side.  A proper shape is expanded at the first alpha that a
-    clause reads, and then asked once whether it is multiplicity-free
-    and once, by ``_twist_tag``, whether it is the case-2 or the case-3
-    closed form up to a sign twist; every later alpha reads those three
-    facts.  The skew sweep builds one side per shape.
+    pair side.  A proper shape reads chi = [norm.basic] at the first
+    alpha that a clause reads, chi as handed in or else expanded then,
+    and asks once whether it is multiplicity-free and once, by
+    ``_twist_tag``, whether it is the case-2 or the case-3 closed form
+    up to a sign twist; every later alpha reads those three facts.  The
+    skew sweep builds one side per basic shape s, which is its own
+    ``norm.basic``, and hands in the [s] it already holds.
     """
     if norm.basic.size == 0:
         return lambda alpha: _SKEW_EMPTY
@@ -269,14 +271,15 @@ def _skew_side(norm: SkewNormalForm, n: int):
     facts = None  # (multiplicity-free, case-2 twist, case-3 twist)
 
     def side(alpha: Partition) -> MfVerdict:
-        nonlocal facts
+        nonlocal facts, chi
         is_case_3 = alpha in case_3_alphas
         # every clause below needs alpha linear, a rectangle or case-3 shaped
         # (a linear alpha is a rectangle); expand the skew shape only then
         if not (is_rectangle(alpha) or is_case_3):
             return MF_NO
         if facts is None:
-            chi = skew_expand(norm.basic)
+            if chi is None:
+                chi = skew_expand(norm.basic)
             facts = chi.is_multiplicity_free(), _twist_tag(chi, case_2), _twist_tag(chi, case_3)
         mf, twist_2, twist_3 = facts
         if mf and is_linear(alpha):

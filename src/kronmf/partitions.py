@@ -515,6 +515,19 @@ def rotate_skew(s: SkewShape) -> SkewShape:
     return _unchecked_skew([w - a for a, b in spans], [w - b for a, b in spans])
 
 
+def conjugate_skew(s: SkewShape) -> SkewShape:
+    """Transpose the diagram: outer and inner conjugated.
+
+    Cell (i, j) lies in a diagram iff (j, i) lies in its conjugate, so
+    inner inside outer gives inner' inside outer', and every cell of s'
+    is the transpose of one of s.  Both are partitions from
+    ``conjugate``, so no row part is zero: built unchecked.  The rows of
+    s' are the columns of s and its columns the rows, so a shape with no
+    empty row and no empty column, a basic one, stays basic.
+    """
+    return tuple.__new__(SkewShape, (conjugate(s.outer), conjugate(s.inner)))
+
+
 def _basic_label(basic: SkewShape) -> tuple[bool, Partition | None]:
     """``rotated_equal`` and ``label`` of a basic shape, as in ``SkewNormalForm``:
     the one label rule, for the basic form and for basic components."""

@@ -17,7 +17,10 @@ predicate is exactly its degree or size check and its side, so the
 sweeps check what ``classify`` answers, and read the facts about a
 row's fixed operands once per row.  The skew sweep normalises each
 shape once and hands the form to ``is_mf_skew``'s form check
-(``littlewood_richardson._mf_skew_form``), the properness test and the side.
+(``littlewood_richardson._mf_skew_form``), the properness test and the
+side, with the shape's character.  It makes one LR expansion per orbit
+{s, s°, s', (s')°} under rotation and transposition, and reads the
+other members' characters from it (``_skew_characters``).
 
 Under the oracle the triple and skew sweeps expand no product: a
 character is its list of values on the classes (a table row, or one sum
@@ -51,7 +54,16 @@ from .classification import _pair_side, _skew_side, _triple_side
 from .expansion import CharacterExpansion
 from .kronecker import _resolve_engine, kron_product, kron_row, multiply_expansions
 from .littlewood_richardson import _mf_skew_form, skew_expand
-from .partitions import Partition, enumerate_basic_skew_shapes, enumerate_partitions, skew_normalize
+from .partitions import (
+    Partition,
+    SkewShape,
+    conjugate,
+    conjugate_skew,
+    enumerate_basic_skew_shapes,
+    enumerate_partitions,
+    rotate_skew,
+    skew_normalize,
+)
 
 DEFAULT_CEILINGS = {"pairs": 9, "triples": 7, "skew": 7, "engines": 10}
 
@@ -236,6 +248,37 @@ def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
     return _report(n, "triples", engine, _triple_rows(n, engine))
 
 
+def _skew_characters(n: int):
+    """(s, [s]) for each basic shape s of size n, in enumeration order,
+    with one LR expansion per orbit {s, s°, s', (s')°}.
+
+    A shape that is not held is the first of its orbit met: it is
+    expanded, and its mates are held until the walk reaches them, s° =
+    ``rotate_skew(s)`` with the same expansion, s' = ``conjugate_skew(s)``
+    and (s')° with one copy whose labels are conjugated.  Sound: the
+    Jacobi-Trudi matrix of s° is that of s reflected in its
+    anti-diagonal, so [s°] = [s]; transposing applies omega, so
+    [s'] = sgn . [s], every label conjugated (Macdonald, I.5).  Rotation
+    and transposition keep the size and map a shape with no empty row
+    or column to another, so every mate is a basic shape of size n that
+    the enumeration reaches later, and the held mates are exactly those
+    not yet visited.
+    """
+    flip = {p: conjugate(p) for p in enumerate_partitions(n)}
+    pending: dict[SkewShape, CharacterExpansion] = {}
+    for s in enumerate_basic_skew_shapes(n):
+        chi = pending.pop(s, None)
+        if chi is None:
+            chi = skew_expand(s)
+            # a partition of n conjugated is one: a trusted copy
+            twisted = CharacterExpansion(n, {flip[p]: m for p, m in chi.items()}, _trusted=True)
+            t = conjugate_skew(s)
+            mates = {rotate_skew(s): chi, t: twisted, rotate_skew(t): twisted}
+            mates.pop(s, None)
+            pending.update(mates)
+        yield s, chi
+
+
 def _skew_rows(n: int, engine: str):
     alphas = enumerate_partitions(n)
     lift, times, mf, row = _character_ring(n, engine)
@@ -244,9 +287,8 @@ def _skew_rows(n: int, engine: str):
     # a shape's character, which builds the expansion's frozenset, once
     rows: dict[CharacterExpansion, list] = {}
     n_proper = 0
-    for s in enumerate_basic_skew_shapes(n):
+    for s, chi in _skew_characters(n):
         form = skew_normalize(s)
-        chi = skew_expand(s)
         yield _mf_row(_mf_skew_form(form), chi.is_multiplicity_free(), s, "-")
         entry = rows.setdefault(chi, [])
         if not entry:
@@ -256,7 +298,7 @@ def _skew_rows(n: int, engine: str):
             n_proper += 1
             if entry[2] is None:
                 entry[2] = s
-        side = _skew_side(form, n)
+        side = _skew_side(form, n, chi)
         for alpha, computed in zip(alphas, entry[1]):
             yield _mf_row(side(alpha), computed, s, alpha)
 
@@ -283,7 +325,11 @@ def verify_skew(n: int, engine: str = "auto") -> VerificationReport:
     checks of ``is_mf_skew_times_irr``.  Each unordered pair of proper
     shapes is one check that the product is not multiplicity-free, so
     ``pairs_checked`` is B (1 + p(n)) + P (P + 1) / 2 for B basic and P
-    proper shapes.  A shape's p(n) products with an irreducible are read
+    proper shapes.  Each character is expanded once per orbit of basic
+    shapes under rotation and transposition, and read by the orbit's
+    other members as it is or with its labels conjugated, as
+    ``_skew_characters`` argues; every check is still made on every
+    shape.  A shape's p(n) products with an irreducible are read
     from one row per distinct skew character.  Only pairs of
     multiplicity-free proper characters are computed, once per distinct
     pair of characters: a factor with a

@@ -3,7 +3,8 @@
 Every oracle here recomputes its answer from first principles (naive
 enumeration, the Frobenius coefficient formula, permutation censuses)
 so the production code paths have something honest to be checked
-against.  One fixture, ``cold_memos``, starts a test from empty memos.
+against.  One fixture, ``cold_memos``, starts a test from empty memos,
+and ``seeded_skew_shapes`` draws skew shapes from a seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import pkgutil
+import random
 import sys
 from pathlib import Path
 
@@ -133,6 +135,25 @@ def brute_syt_count(p: Partition) -> int:
             total += brute_syt_count(Partition(p[:i] + (part - 1,) + p[i + 1:]))
     _syt_memo[key] = total
     return total
+
+
+def seeded_skew_shapes(seed: int, count: int, box: int = 8, cells: int = 10) -> list[SkewShape]:
+    """``count`` skew shapes from ``random.Random(seed)``, each outer inside
+    a box x box square and at most ``cells`` cells, checked constructors only.
+
+    The inner partition starts as the outer one and gives up one random
+    corner at a time, so most shapes keep empty rows and empty columns.
+    """
+    rng = random.Random(seed)
+    shapes = []
+    for _ in range(count):
+        outer = sorted((rng.randint(0, box) for _ in range(box)), reverse=True)
+        inner = list(outer)
+        for _ in range(rng.randint(0, min(cells, sum(outer)))):
+            corners = [i for i, part in enumerate(inner) if part and (i + 1 == box or inner[i + 1] < part)]
+            inner[rng.choice(corners)] -= 1
+        shapes.append(SkewShape(outer, inner))
+    return shapes
 
 
 _skew_syt_memo: dict[tuple, int] = {}

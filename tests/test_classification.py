@@ -315,10 +315,13 @@ class TestIsMfSkewTimesIrr:
         monkeypatch.setattr(
             classification, "skew_expand", lambda s: calls.append(s) or skew_expand(s)
         )
+        from kronmf.littlewood_richardson import _lr_counts
+
+        _lr_counts.cache_clear()
         assert verify_skew(6).ok
-        # the sweep asks one side per shape, which expands at most once:
-        # each of the 254 proper shapes meets the rectangle (6)
-        assert len(calls) == 254
+        # the sweep expands one shape per orbit {s, s°, s', (s')°} of the
+        # 272 and hands each side its character, so no side expands
+        assert _lr_counts.cache_info().misses == 80 and not calls
 
         # a side expands at the first alpha a clause reads, and only then
         for n in range(7):
@@ -458,6 +461,19 @@ def test_side_answers_its_row_as_the_predicate(rows, count, digest):
         seen += len(expected)
     assert seen == count
     assert h.hexdigest() == digest
+
+
+def test_side_handed_its_character_answers_as_the_predicate():
+    # the skew sweep hands each basic shape's side the character its
+    # orbit walk holds for the shape; every verdict, clause and
+    # normalization included, is the predicate's
+    from kronmf.verify import _skew_characters
+
+    for n in range(9):
+        alphas = enumerate_partitions(n)
+        for s, chi in _skew_characters(n):
+            side = _skew_side(skew_normalize(s), n, chi)
+            assert list(map(side, alphas)) == [is_mf_skew_times_irr(s, alpha) for alpha in alphas], s
 
 
 class TestProductWithNatural:

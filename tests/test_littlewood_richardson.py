@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import brute_lr_tally, brute_skew_syt, brute_syt_count
+from conftest import brute_lr_tally, brute_skew_syt, brute_syt_count, seeded_skew_shapes
 from kronmf.expansion import CharacterExpansion
 from kronmf.littlewood_richardson import (
     _lr_counts,
@@ -17,6 +17,7 @@ from kronmf.partitions import (
     EMPTY,
     Partition,
     SkewShape,
+    conjugate_skew,
     enumerate_basic_skew_shapes,
     enumerate_partitions,
     intersect,
@@ -124,6 +125,17 @@ class TestSkewExpand:
                     assert skew_expand(s) == skew_expand(basic)
                     if basic.size:
                         assert skew_expand(rotate_skew(basic)) == skew_expand(basic)
+
+    def test_rotation_keeps_and_transposition_conjugates_on_seeded_shapes(self):
+        # [s°] = [s] and [s'] = sgn . [s], the two facts the skew sweep
+        # reads an orbit mate's character by, on shapes with empty rows
+        # and columns left in
+        shapes = seeded_skew_shapes(7219, 1000)
+        assert sum(skew_normalize(s).basic != s for s in shapes) > 700
+        for s in shapes:
+            chi = skew_expand(s)
+            assert skew_expand(rotate_skew(s)) == chi, s
+            assert skew_expand(conjugate_skew(s)) == chi.conjugate(), s
 
     def test_every_shape_a_band_reads_up_to_size_9(self):
         # a band reads lam/alpha for every alpha inside lam, with empty

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_syt_count
+from conftest import brute_syt_count, seeded_skew_shapes
 from kronmf.expansion import CharacterExpansion
 from kronmf.partitions import (
     EMPTY,
@@ -16,6 +16,7 @@ from kronmf.partitions import (
     addable_nodes,
     classify_shape,
     conjugate,
+    conjugate_skew,
     dimension,
     durfee_length,
     enumerate_basic_skew_shapes,
@@ -417,6 +418,21 @@ class TestSkewShapes:
         for size in range(1, 7):
             for s in enumerate_basic_skew_shapes(size):
                 assert rotate_skew(rotate_skew(s)) == s
+
+    def test_conjugate_is_the_checked_transpose_and_an_involution(self):
+        shapes = seeded_skew_shapes(6113, 400)
+        # not only basic shapes: empty rows and empty columns too
+        assert any(len(skew_normalize(s).basic.outer) < len(s.outer) for s in shapes)
+        assert any(skew_normalize(s).basic.outer.width < s.outer.width for s in shapes)
+        for s in shapes:
+            t = conjugate_skew(s)
+            assert type(t) is SkewShape and t == SkewShape(conjugate(s.outer), conjugate(s.inner)), s
+            assert _sized(t) and conjugate_skew(t) == s, s
+
+    def test_conjugate_keeps_a_basic_shape_basic(self):
+        for size in range(9):
+            shapes = enumerate_basic_skew_shapes(size)
+            assert set(map(conjugate_skew, shapes)) == set(shapes), size
 
     def test_basic_enumeration_matches_brute_force(self):
         for size in range(1, 6):

@@ -250,6 +250,21 @@ class TestReports:
         if n == 6:
             assert (basic, proper, expected) == (272, 254, 35649)
 
+    def test_orbit_walk_reads_each_basic_shape_its_character(self):
+        # one LR expansion per orbit: the walk hands every basic shape,
+        # in enumeration order, the character it would expand to.  A mate
+        # leaves the held ones only when the walk reaches it, so none is
+        # held at the last shape iff every one was held before it was met
+        for n in range(10):
+            shapes, walked = enumerate_basic_skew_shapes(n), []
+            walk = verify_mod._skew_characters(n)
+            for s, chi in walk:
+                assert chi == skew_expand(s), s
+                walked.append(s)
+                if len(walked) == len(shapes):
+                    assert not walk.gi_frame.f_locals["pending"], n
+            assert walked == shapes, n
+
     @pytest.mark.parametrize("engine", ["oracle", "dvir"])
     def test_skew_sweep_normalises_each_shape_once(self, monkeypatch, engine):
         # the sweep reads each basic shape's normal form once and hands it
