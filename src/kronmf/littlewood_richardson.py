@@ -19,7 +19,6 @@ from .partitions import (
     Partition,
     SkewNormalForm,
     SkewShape,
-    _basic_label,
     _unchecked,
     is_fat_hook,
     is_linear,
@@ -227,7 +226,7 @@ def is_mf_skew(s: SkewShape) -> MfVerdict:
 
 
 def _mf_skew_form(norm: SkewNormalForm) -> MfVerdict:
-    """``is_mf_skew`` of the shape with normal form norm; basic components need only the label rule."""
+    """``is_mf_skew`` of the shape with normal form norm; of the components it reads only their labels."""
     basic = norm.basic
     if basic.size == 0:
         return MfVerdict(True, "skew-empty")
@@ -238,8 +237,7 @@ def _mf_skew_form(norm: SkewNormalForm) -> MfVerdict:
     if len(comps) > 2:
         return MF_NO
     if len(comps) == 2:
-        parts = [_basic_label(c)[1] for c in comps]
-        return MF_NO if None in parts else is_mf_outer(*parts).reduced("skew-two-components")
+        return MF_NO if None in comps else is_mf_outer(*comps).reduced("skew-two-components")
 
     # the rotation of a basic shape is basic, so both rims are read
     # directly, without ``path_profile``'s check

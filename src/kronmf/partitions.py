@@ -6,8 +6,8 @@ tuples, ``Partition`` a tuple subclass and the rest tuple records, so
 the tuple makes them immutable and hashable, copies and pickles them,
 and they can be used as memo keys and shared freely between threads.
 Skew shapes are read as row spans: one walk over the rows gives a
-shape's normal form, its basic form and its components, kept by no
-memo: the skew sweep normalises each shape once and hands the form on.
+shape's normal form, its basic form and its components' labels, kept
+by no memo: the skew sweep normalises each shape once and hands it on.
 The basic shapes of a size are listed from their row lengths and
 offsets.
 It also owns the text grammar (integers, partitions, CSV fields), the
@@ -446,19 +446,20 @@ def _unchecked_skew(outer: list[int], inner: list[int]) -> SkewShape:
 
 
 class SkewNormalForm(NamedTuple):
-    """``label`` is the partition that the basic shape or its rotation
-    is, or None; the empty shape is the empty partition."""
+    """The basic form and the labels of the edge-connected components,
+    top to bottom, read as ``_basic_and_components`` says.  ``label`` is
+    the one component's, None for two or more (a partition diagram and
+    its rotation are connected), and the empty partition for no cells."""
 
     basic: SkewShape
-    components: tuple[SkewShape, ...]
-    rotated_equal: bool
+    components: tuple[Partition | None, ...]
     label: Partition | None
 
 
-def _basic_and_components(s: SkewShape) -> tuple[SkewShape, list[SkewShape]]:
-    """The basic form of s and its edge-connected components, top to
-    bottom, from one walk over the nonempty rows (a, b], bottom up;
-    ``below`` is the end of the nonempty row below (0 under the last).
+def _basic_and_components(s: SkewShape) -> tuple[SkewShape, tuple[Partition | None, ...]]:
+    """The basic form of s and its components' labels, top to bottom,
+    from one walk over the nonempty rows (a, b], bottom up; ``below`` is
+    the end of the nonempty row below (0 under the last).
 
     Basic form.  The empty columns left of a row's start are the gaps
     (below, a] of this row and of every row under it (a gap higher up
@@ -474,9 +475,14 @@ def _basic_and_components(s: SkewShape) -> tuple[SkewShape, list[SkewShape]]:
     Components.  A row starts one iff a >= below: it then touches the
     row below only at a corner, or an empty row (c, c] with
     a >= c >= below lies between them; otherwise they share a column,
-    before and after the shift.  Each component, moved left by the
-    start of its bottom row, the least of its starts, is basic: built
-    unchecked.
+    before and after the shift.  Starts and ends weakly decrease down a
+    component: a0, its bottom start, is the least start, and w, its top
+    end, the greatest end.  Moved left by a0 it is basic, so a partition
+    diagram iff every start is a0, iff its top start is: the label is
+    then the ends b - a0.  Else its rotation is one iff that has no inner
+    part, iff every end is w, iff its bottom end is: the label is then
+    w - a, read bottom up.  Else it is None.  As a < b, both labels are
+    weakly decreasing and positive: built unchecked.
     """
     groups: list[list[tuple[int, int]]] = []
     shift = below = 0
@@ -488,14 +494,15 @@ def _basic_and_components(s: SkewShape) -> tuple[SkewShape, list[SkewShape]]:
             groups[-1].append((a - shift, b - shift))
             below = b
     groups.reverse()
-    comps = [
-        _unchecked_skew([b - g[0][0] for a, b in reversed(g)], [a - g[0][0] for a, b in reversed(g)])
+    labels = tuple(
+        _unchecked([b - g[0][0] for a, b in reversed(g)]) if g[-1][0] == g[0][0]
+        else _unchecked([g[-1][1] - a for a, b in g]) if g[0][1] == g[-1][1] else None
         for g in groups
-    ]
+    )
     rows = [row for g in groups for row in reversed(g)]
     if not shift and len(rows) == len(s.outer):
-        return s, comps
-    return _unchecked_skew([b for a, b in rows], [a for a, b in rows]), comps
+        return s, labels
+    return _unchecked_skew([b for a, b in rows], [a for a, b in rows]), labels
 
 
 def rotate_skew(s: SkewShape) -> SkewShape:
@@ -528,24 +535,16 @@ def conjugate_skew(s: SkewShape) -> SkewShape:
     return tuple.__new__(SkewShape, (conjugate(s.outer), conjugate(s.inner)))
 
 
-def _basic_label(basic: SkewShape) -> tuple[bool, Partition | None]:
-    """``rotated_equal`` and ``label`` of a basic shape, as in ``SkewNormalForm``:
-    the one label rule, for the basic form and for basic components."""
-    rotated = rotate_skew(basic)
-    rotated_equal = rotated.inner == EMPTY
-    return rotated_equal, basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
-
-
 def skew_normalize(s: SkewShape) -> SkewNormalForm:
     """The one normal form of a skew shape; every caller reads it here.
 
     One walk over the rows gives the basic form (a basic shape is its
-    own, the same object) and its components.  These and the rotation
-    are built from row spans without the checks of ``SkewShape``, as
-    ``_basic_and_components`` and ``rotate_skew`` argue row by row.
+    own, the same object) and the components' labels, both built from
+    row spans without the checks of ``SkewShape`` and ``Partition``, as
+    ``_basic_and_components`` argues row by row.  No rotation is built.
     """
-    basic, comps = _basic_and_components(s)
-    return SkewNormalForm(basic, tuple(comps), *_basic_label(basic))
+    basic, labels = _basic_and_components(s)
+    return SkewNormalForm(basic, labels, labels[0] if len(labels) == 1 else None if labels else EMPTY)
 
 
 def is_proper_skew(s: SkewShape) -> bool:

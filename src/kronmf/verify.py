@@ -136,7 +136,7 @@ def _report(n: int, mode: str, engine: str, rows) -> VerificationReport:
     return VerificationReport(n, mode, engine, checked + counted, sorted(mismatches))
 
 
-def _mf_row(predicted, computed: bool, left, *right) -> tuple[str, str, str, str] | None:
+def _check(predicted, computed: bool, left, *right) -> tuple[str, str, str, str] | None:
     """None if the predicate agrees with the computation, else the mismatch.
 
     Labels are rendered only for a mismatch; several right-hand labels
@@ -185,7 +185,7 @@ def verify_pairs(n: int, engine: str = "auto", cache: ProductCache | None = None
         for lam, row in groupby(_products(n, engine, cache), key=itemgetter(0)):
             side = _pair_side(lam, n)
             for _, mu, chi in row:
-                yield _mf_row(side(mu), chi.max_multiplicity() == 1, lam, mu)
+                yield _check(side(mu), chi.max_multiplicity() == 1, lam, mu)
 
     return _report(n, "pairs", engine, rows())
 
@@ -240,7 +240,7 @@ def _triple_rows(n: int, engine: str):
             # one row per (lam, mu), read from mu on, and one predicate side
             side = _triple_side(lam, mu, n)
             for nu, computed in zip(parts[j:], row(times(irr[i], irr[j]), j)):
-                yield _mf_row(side(nu), computed, lam, mu, nu)
+                yield _check(side(nu), computed, lam, mu, nu)
 
 
 def verify_triples(n: int, engine: str = "auto") -> VerificationReport:
@@ -289,7 +289,7 @@ def _skew_rows(n: int, engine: str):
     n_proper = 0
     for s, chi in _skew_characters(n):
         form = skew_normalize(s)
-        yield _mf_row(_mf_skew_form(form), chi.is_multiplicity_free(), s, "-")
+        yield _check(_mf_skew_form(form), chi.is_multiplicity_free(), s, "-")
         entry = rows.setdefault(chi, [])
         if not entry:
             lifted = lift(chi)
@@ -300,7 +300,7 @@ def _skew_rows(n: int, engine: str):
                 entry[2] = s
         side = _skew_side(form, n, chi)
         for alpha, computed in zip(alphas, entry[1]):
-            yield _mf_row(side(alpha), computed, s, alpha)
+            yield _check(side(alpha), computed, s, alpha)
 
     # a product of two proper characters is not linear in an irreducible,
     # so no row answers it
@@ -309,7 +309,7 @@ def _skew_rows(n: int, engine: str):
     mf_proper = [(s, lifted) for _, (lifted, _, s) in proper]
     for i, (s, x) in enumerate(mf_proper):
         for t, y in mf_proper[i:]:
-            yield _mf_row(False, mf(times(x, y)), s, t)
+            yield _check(False, mf(times(x, y)), s, t)
     # the other pairs repeat a computed pair's characters or have a non-mf
     # factor, settled by the repeated-constituent argument; one count row
     # keeps the tally over the full space

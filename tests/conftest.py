@@ -4,7 +4,8 @@ Every oracle here recomputes its answer from first principles (naive
 enumeration, the Frobenius coefficient formula, permutation censuses)
 so the production code paths have something honest to be checked
 against.  One fixture, ``cold_memos``, starts a test from empty memos,
-and ``seeded_skew_shapes`` draws skew shapes from a seed.
+``seeded_skew_shapes`` draws skew shapes from a seed, and
+``skew_components`` splits a skew shape into its components.
 """
 
 from __future__ import annotations
@@ -154,6 +155,33 @@ def seeded_skew_shapes(seed: int, count: int, box: int = 8, cells: int = 10) -> 
             inner[rng.choice(corners)] -= 1
         shapes.append(SkewShape(outer, inner))
     return shapes
+
+
+def skew_components(shape: SkewShape) -> list[SkewShape]:
+    """The edge-connected components of a skew shape, top to bottom, by
+    flood fills of its cells over shared edges, each moved left until its
+    leftmost cell sits in the first column; checked constructors only.
+
+    A row's cells are contiguous, so each row lies in one component, and
+    the component holding the least remaining cell is the highest left.
+    """
+    cells = {(i, j) for i, (a, b) in enumerate(shape.row_spans()) for j in range(a, b)}
+    comps = []
+    while cells:
+        todo = [min(cells)]
+        comp = set()
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in cells:
+                cells.discard((i, j))
+                comp.add((i, j))
+                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+        shift = min(j for i, j in comp)
+        spans: dict[int, list[int]] = {}
+        for i, j in sorted(comp):
+            spans.setdefault(i, []).append(j - shift)
+        comps.append(SkewShape([max(js) + 1 for js in spans.values()], [min(js) for js in spans.values()]))
+    return comps
 
 
 _skew_syt_memo: dict[tuple, int] = {}

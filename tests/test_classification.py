@@ -23,7 +23,7 @@ from kronmf.classification import (
 )
 from kronmf.expansion import CharacterExpansion
 from kronmf.kronecker import g_dvir, g_max, kron_product, multiply_expansions
-from kronmf.littlewood_richardson import skew_expand
+from kronmf.littlewood_richardson import is_mf_skew, skew_expand
 from kronmf.partitions import (
     Partition,
     SkewShape,
@@ -364,18 +364,34 @@ def _skew_verdicts():
                         yield is_mf_skew_times_irr(s, alpha)
 
 
+def _basic_shape_verdicts():
+    for size in range(10):
+        yield from map(is_mf_skew, enumerate_basic_skew_shapes(size))
+
+
+def _shape_verdicts():
+    for m in range(10):
+        for outer in enumerate_partitions(m):
+            for k in range(m + 1):
+                for inner in iter_subpartitions(outer, k):
+                    yield is_mf_skew(SkewShape(outer, inner))
+
+
 @pytest.mark.parametrize(
     "verdicts, count, digest",
     [
         (_pair_verdicts, 12647, "bfa37c69c9cdd3334ef03f725e4ea445514884caf28f5f38b4ac9cf3412aa933"),
         (_basic_skew_verdicts, 16526, "8faad9033bb075137f109a44ae95c49411a726b7cd1c506d2f379bab051de4c6"),
         (_skew_verdicts, 1723, "eb41848df0214d422957d66d710fdc4ad85f230606c4be7cf8ad9dad7e1ef9b0"),
+        (_basic_shape_verdicts, 12228, "b21e54c299804a1392d34d523088d2ba0b5704d073bee40ab5699caaed11c539"),
+        (_shape_verdicts, 1592, "cbdea1f17109e2c55e583485c4ba5612746ac8c906ca01b68a6d4d3a7e33f395"),
     ],
-    ids=["pairs-n-le-12", "basic-skew-size-le-7", "skew-outer-le-7"],
+    ids=["pairs-n-le-12", "basic-skew-size-le-7", "skew-outer-le-7", "is-mf-skew-basic-le-9", "is-mf-skew-outer-le-9"],
 )
 def test_verdict_digest_frozen(verdicts, count, digest):
     # every (clause, normalization) in a fixed order: pair verdicts on
-    # ordered pairs, skew-times-irreducible verdicts on shapes x alpha.
+    # ordered pairs, skew-times-irreducible verdicts on shapes x alpha,
+    # is_mf_skew verdicts on shapes.
     # The digests were taken from the clause-per-call predicates, so any
     # change to a verdict or to its tags changes them.
     h = hashlib.sha256()

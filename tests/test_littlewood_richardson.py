@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import brute_lr_tally, brute_skew_syt, brute_syt_count, seeded_skew_shapes
+from conftest import brute_lr_tally, brute_skew_syt, brute_syt_count, seeded_skew_shapes, skew_components
 from kronmf.expansion import CharacterExpansion
 from kronmf.littlewood_richardson import (
     _lr_counts,
@@ -155,12 +155,13 @@ class TestSkewExpand:
         assert shapes == 1591
 
     def test_disconnected_equals_outer_product_of_components(self):
-        from kronmf.partitions import skew_normalize
-
+        # the components are the reference's flood fills, as the normal
+        # form holds only their labels
         checked = 0
         for size in range(2, 8):
             for s in enumerate_basic_skew_shapes(size):
-                comps = skew_normalize(s).components
+                comps = skew_components(s)
+                assert len(comps) == len(skew_normalize(s).components), s
                 if len(comps) < 2:
                     continue
                 product = skew_expand(comps[0])

@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_syt_count, seeded_skew_shapes
+from conftest import brute_syt_count, seeded_skew_shapes, skew_components
+import kronmf.partitions as partitions_mod
 from kronmf.expansion import CharacterExpansion
 from kronmf.partitions import (
     EMPTY,
@@ -386,18 +387,21 @@ class TestSkewShapes:
             SkewShape((2, 2), (3,))
 
     def test_normalize_connected(self):
+        # neither 3,2/1 nor its rotation 3,2/1 is a partition diagram
         nf = skew_normalize(SkewShape((3, 2), (1,)))
         assert nf.basic == SkewShape((3, 2), (1,))
-        assert len(nf.components) == 1
-        assert nf.rotated_equal is False
+        assert nf.components == (None,) and nf.label is None
 
     def test_normalize_disconnected(self):
         nf = skew_normalize(SkewShape((4, 1), (1,)))
-        assert [c for c in nf.components] == [SkewShape((3,), ()), SkewShape((1,), ())]
+        assert nf.components == (P(3), P(1)) and nf.label is None
 
     def test_normalize_partition_diagram(self):
         nf = skew_normalize(SkewShape((2, 2), ()))
-        assert nf.basic == SkewShape((2, 2), ()) and nf.rotated_equal is True
+        assert nf.basic == SkewShape((2, 2), ()) and nf.components == (P(2, 2),) and nf.label == P(2, 2)
+        # a rotated partition diagram: 2,2/1 rotates to 2,1
+        nf = skew_normalize(SkewShape((2, 2), (1,)))
+        assert nf.basic == SkewShape((2, 2), (1,)) and nf.components == (P(2, 1),) and nf.label == P(2, 1)
 
     def test_strip_empty_rows_and_columns(self):
         # (4,3,3)/(3,3,1) has an empty middle row and an empty first column
@@ -483,40 +487,26 @@ def _recursive_basic_shapes(size):
     return out
 
 
+def _reference_label(s):
+    """The partition that a basic shape or its checked rotation is, or None."""
+    rotated = _reference_rotation(s)
+    return s.outer if s.inner == EMPTY else rotated.outer if rotated.inner == EMPTY else None
+
+
 def _reference_normal_form(s):
     """The normal form from its definitions, with checked constructors only.
 
     Empty rows and columns are dropped by ranking the occupied columns;
-    components are flood fills of the cells over shared edges, each moved
-    left until its leftmost cell sits in the first column.
+    the components come from the flood fills of ``skew_components``, each
+    labelled, as the basic form is, through ``_reference_rotation``.
     """
     rows = [(s.inner.row(i), part) for i, part in enumerate(s.outer, start=1)]
     rows = [(a, b) for a, b in rows if a < b]
     if not rows:
-        empty = SkewShape((), ())
-        return SkewNormalForm(empty, (), True, EMPTY)
+        return SkewNormalForm(SkewShape((), ()), (), EMPTY)
     rank = {c: k for k, c in enumerate(sorted({j for a, b in rows for j in range(a + 1, b + 1)}), start=1)}
     basic = SkewShape([rank[b] for a, b in rows], [rank[a + 1] - 1 for a, b in rows])
-    rotated = _reference_rotation(basic)
-    cells = {(i, j) for i, b in enumerate(basic.outer) for j in range(basic.inner.row(i + 1), b)}
-    comps = []
-    while cells:
-        todo = [min(cells)]
-        comp = set()
-        while todo:
-            i, j = todo.pop()
-            if (i, j) in cells:
-                cells.discard((i, j))
-                comp.add((i, j))
-                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
-        shift = min(j for i, j in comp)
-        spans = {}
-        for i, j in sorted(comp):
-            spans.setdefault(i, []).append(j - shift)
-        comps.append(SkewShape([max(js) + 1 for js in spans.values()], [min(js) for js in spans.values()]))
-    rotated_equal = rotated.inner == EMPTY
-    label = basic.outer if basic.inner == EMPTY else rotated.outer if rotated_equal else None
-    return SkewNormalForm(basic, tuple(comps), rotated_equal, label)
+    return SkewNormalForm(basic, tuple(map(_reference_label, skew_components(basic))), _reference_label(basic))
 
 
 def _reference_rotation(s):
@@ -553,8 +543,21 @@ class TestSkewNormalForm:
         for s in shapes:
             nf = skew_normalize(s)
             assert nf == _reference_normal_form(s), s
+            assert all(c is None or type(c) is Partition for c in nf.components), s
             assert rotate_skew(s) == _reference_rotation(s), s
-            assert all(map(_sized, (nf.basic, rotate_skew(s), *nf.components))), s
+            assert all(map(_sized, (nf.basic, rotate_skew(s)))), s
+
+    def test_normalizing_builds_at_most_the_basic_form(self, monkeypatch):
+        # no rotation and no component shape: one unchecked shape, the
+        # basic form, and none for a shape that is already basic
+        calls = []
+        for name in ("rotate_skew", "_unchecked_skew"):
+            real = getattr(partitions_mod, name)
+            monkeypatch.setattr(partitions_mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for s in _every_skew_shape(9):
+            calls.clear()
+            nf = skew_normalize(s)
+            assert calls == (["_unchecked_skew"] if nf.basic != s else []), s
 
     def test_a_basic_shape_is_its_own_basic_form(self):
         for s in enumerate_basic_skew_shapes(6):
@@ -563,12 +566,12 @@ class TestSkewNormalForm:
     def test_size_is_set_by_every_constructor(self):
         shapes = [SkewShape((4, 3, 1), (2, 1)), SkewShape((3,)), parse_skew("4,3,3/3,3,1"), parse_skew("2,1/2,1")]
         for s in list(shapes):
-            shapes += [rotate_skew(s), *skew_normalize(s).components]
+            shapes += [rotate_skew(s), skew_normalize(s).basic]
         shapes += list(_every_skew_shape(6))
         for s in shapes:
             assert _sized(s), s
             assert _sized(rotate_skew(s)), s
-            assert all(map(_sized, skew_normalize(s).components)), s
+            assert _sized(skew_normalize(s).basic), s
         assert [s.size for s in shapes[:4]] == [5, 3, 3, 0]
 
 

@@ -30,8 +30,8 @@ FROZEN = [
     (SkewShape, dict(outer=P(3, 2), inner=P(1)), dict(outer=P(3, 2), inner=P(2))),
     (
         SkewNormalForm,
-        dict(basic=SkewShape(P(2, 1), P(1)), components=(SkewShape(P(1)),) * 2, rotated_equal=False, label=None),
-        dict(basic=SkewShape(P(2, 1), P(1)), components=(SkewShape(P(1)),) * 2, rotated_equal=True, label=None),
+        dict(basic=SkewShape(P(2, 1), P(1)), components=(P(1),) * 2, label=None),
+        dict(basic=SkewShape(P(2, 1), P(1)), components=(P(1), None), label=None),
     ),
     (
         PathProfile,
@@ -86,8 +86,8 @@ def test_frozen_record_copies_and_pickles(cls, kwargs, other, clone):
 
 @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
 def test_shapes_built_unchecked_and_tables_copy_and_pickle(clone):
-    # a normal form holds shapes built unchecked, as a rotation is; a
-    # table's copy still finds its rows
+    # a normal form holds labels built unchecked, and a rotation is a
+    # shape built unchecked; a table's copy still finds its rows
     form = skew_normalize(SkewShape(P(3, 1), P(1)))
     rotated = rotate_skew(SkewShape(P(3, 2), P(1)))
     assert len(form.components) == 2
@@ -99,9 +99,9 @@ def test_shapes_built_unchecked_and_tables_copy_and_pickle(clone):
 
 def test_skew_shape_size_refuses_assignment_on_every_constructor():
     # the size is derived from the fields, and the shapes built unchecked
-    # (a rotation, a normal form's components) are as immutable
+    # (a rotation, the basic form of a shape with an empty row) are as immutable
     s = SkewShape(P(3, 2), P(1))
-    for shape in (s, rotate_skew(s), *skew_normalize(SkewShape(P(3, 1), P(1))).components):
+    for shape in (s, rotate_skew(s), skew_normalize(SkewShape(P(4, 3, 3), P(3, 3, 1))).basic):
         with pytest.raises(AttributeError):
             shape.size = 0
     assert (str(s), s.size, hash(s)) == ("3,2/1", 4, hash(SkewShape((3, 2), (1,))))
